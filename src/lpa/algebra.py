@@ -87,6 +87,12 @@ def _reduce_leavitt(g, m):
     return tuple((m2, c) for m2, c in acc.items() if c)
 
 
+def _add_reduced(acc, g, field, m, c):
+    """Accumulate ``c * m`` into ``acc`` through the Leavitt rewrite of m."""
+    for m2, k in _reduce_leavitt(g, m):
+        fields.add_term(acc, m2, c if k == 1 else c * fields.from_int(field, k))
+
+
 def mono_mul(g, m1, m2):
     """Raw product of two monomials: one monomial or None (= 0)."""
     nu1, lam2 = m1.nu, m2.lam
@@ -126,11 +132,7 @@ class AlgebraElement:
         _compat(self, other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            s = acc.get(m, fields.zero(self.field)) + c
-            if s.is_zero():
-                acc.pop(m, None)
-            else:
-                acc[m] = s
+            fields.add_term(acc, m, c)
         return _assemble(self.graph, self.field, self.mode, acc)
 
     def __sub__(self, other):
@@ -147,27 +149,15 @@ class AlgebraElement:
         g = self.graph
         acc = {}
         leavitt = self.mode == LEAVITT
-        zero_f = fields.zero(self.field)
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 raw = mono_mul(g, m1, m2)
                 if raw is None:
                     continue
-                c = c1 * c2
                 if leavitt:
-                    for m3, k in _reduce_leavitt(g, raw):
-                        ck = c if k == 1 else c * fields.from_int(self.field, k)
-                        s = acc.get(m3, zero_f) + ck
-                        if s.is_zero():
-                            acc.pop(m3, None)
-                        else:
-                            acc[m3] = s
+                    _add_reduced(acc, g, self.field, raw, c1 * c2)
                 else:
-                    s = acc.get(raw, zero_f) + c
-                    if s.is_zero():
-                        acc.pop(raw, None)
-                    else:
-                        acc[raw] = s
+                    fields.add_term(acc, raw, c1 * c2)
         return _assemble(g, self.field, self.mode, acc)
 
     def scale(self, k):
@@ -198,14 +188,14 @@ def _assemble(g, field, mode, acc):
     )
     if mode == LEAVITT:
         for m, _ in terms:
-            assert not is_forbidden(g, m), f"forbidden monomial {m} survived reduction"
+            if is_forbidden(g, m):
+                raise AlgebraError(f"forbidden monomial {m} survived reduction")
     return AlgebraElement(g, field, mode, terms)
 
 
 def element(g, field, mode, coeffs):
     """Build an element from {Monomial: FieldElement}, validating and reducing."""
     acc = {}
-    zero_f = fields.zero(field)
     for m, c in coeffs.items():
         _validate_monomial(g, m)
         if c.field != field:
@@ -213,19 +203,9 @@ def element(g, field, mode, coeffs):
         if c.is_zero():
             continue
         if mode == LEAVITT:
-            for m2, k in _reduce_leavitt(g, m):
-                ck = c if k == 1 else c * fields.from_int(field, k)
-                s = acc.get(m2, zero_f) + ck
-                if s.is_zero():
-                    acc.pop(m2, None)
-                else:
-                    acc[m2] = s
+            _add_reduced(acc, g, field, m, c)
         else:
-            s = acc.get(m, zero_f) + c
-            if s.is_zero():
-                acc.pop(m, None)
-            else:
-                acc[m] = s
+            fields.add_term(acc, m, c)
     return _assemble(g, field, mode, acc)
 
 

@@ -112,8 +112,11 @@ def _load_graph(args):
     if not args.graph:
         raise CliInputError("this command needs --graph")
     if os.path.exists(args.graph):
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.graph, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliInputError(f"cannot read graph file {args.graph!r}: {exc.strerror}") from None
         return graphs.parse_graph(text), text
     if args.graph in corpus.NAMES:
         text = corpus.graph_text(args.graph)
@@ -292,6 +295,8 @@ def _run_free_gens(args, ctx):
     witness = _parse_witness(args, ctx)
     alpha = fields.parse_element(field, args.alpha)
     beta = fields.parse_element(field, args.beta) if args.beta else None
+    if args.verify_len < 1:
+        raise CliInputError("--verify-len must be >= 1")
     pair = freegroups.build_generators(g, field, witness, alpha, beta)
     report = freegroups.verify_free_up_to(pair, args.verify_len)
     names = ("a", "b") if pair.char_case == "zero" else ("c", "d")

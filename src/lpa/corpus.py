@@ -31,10 +31,6 @@ def load(name):
     return graphs.parse_graph(graph_text(name))
 
 
-def all_graphs():
-    return [load(name) for name in NAMES]
-
-
 def line_graph(n):
     """The oriented n-line graph: v1 -> v2 -> ... -> vn."""
     if n < 1:

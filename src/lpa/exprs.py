@@ -138,7 +138,10 @@ class _Parser:
         if tok.kind == "NUM":
             if "/" in tok.text:
                 a, b = tok.text.split("/")
-                k = fields.from_fraction(self.field, Fraction(int(a), int(b)))
+                try:
+                    k = fields.from_fraction(self.field, Fraction(int(a), int(b)))
+                except ZeroDivisionError:
+                    raise ExprError(f"zero denominator in {tok.text!r}", tok.col) from None
             else:
                 k = fields.from_int(self.field, int(tok.text))
             return algebra.scalar(self.g, self.field, k, self.mode)

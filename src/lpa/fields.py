@@ -12,6 +12,7 @@ elements have identical payloads and everything is hashable:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,24 +103,59 @@ def _check(a, b):
         raise FieldMismatchError("operands lie in different fields")
 
 
+def add_term(acc, key, c):
+    """``acc[key] += c`` on a sparse dict of field elements: a key whose sum
+    is zero is dropped, so ``acc`` never holds a zero."""
+    if key in acc:
+        c = acc[key] + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
+
+
 # -- descriptors ---------------------------------------------------------
 
 def rationals():
     return FieldDescriptor("Q", 0)
 
 
+# Miller-Rabin over the first thirteen primes is exact below _PSI13, the
+# least strong pseudoprime to all of them; from there on every base up to
+# 2 ln(n)^2 is tried (Miller's test, exact under GRH).  Primes from
+# MAX_PRIME on are refused so that the test stays fast.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
+MAX_PRIME = 2 ** 128
+
+
 def _is_prime(n):
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    bases = _SMALL_PRIMES if n < _PSI13 else range(2, int(2 * math.log(n) ** 2) + 1)
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def prime_field(p):
+    if p >= MAX_PRIME:
+        raise FieldError(f"prime fields need p < 2^128, got {p}")
     if not _is_prime(p):
         raise FieldError(f"{p} is not prime")
     return FieldDescriptor("Fp", p)
@@ -143,12 +179,13 @@ IRREDUCIBILITY_BUDGET = 10_000
 
 
 def extension(base, coeffs):
-    """Simple extension of ``base`` by a monic-or-not nonconstant modulus.
+    """Simple extension of ``base`` (Q or F_p) by a monic-or-not nonconstant
+    squarefree modulus.
 
     ``coeffs`` are base-field elements (or ints), degree-ascending.
     """
-    if base.kind == "ext":
-        raise FieldError("towers of extensions are not supported")
+    if base.kind not in ("Q", "Fp"):
+        raise FieldError("extension base must be Q or F_p (no towers, no function fields)")
     lifted = []
     for c in coeffs:
         if isinstance(c, int):
@@ -160,19 +197,23 @@ def extension(base, coeffs):
         lifted.pop()
     if len(lifted) < 2:
         raise FieldError("extension modulus must be nonconstant")
-    if base.kind == "Fp":
-        _check_irreducible_fp(base.char, [c.payload for c in lifted])
-    return FieldDescriptor(
-        "ext", base.char, base=base, modulus=tuple(c.payload for c in lifted)
-    )
+    modulus = tuple(c.payload for c in lifted)
+    p = base.char
+    f = _upoly(modulus)
+    if p:
+        _check_irreducible_fp(p, f)
+    df = {(i - 1,): polys.cmul(c, polys.cfrom_int(i, p), p) for (i,), c in f.items() if i}
+    df = {e: c for e, c in df.items() if c}
+    if polys.uegcd(f, df, p)[0] != {(0,): polys.cone(p)}:
+        raise FieldError(f"extension modulus {_upoly_str(base, modulus, 'x')} is not squarefree")
+    return FieldDescriptor("ext", p, base=base, modulus=modulus)
 
 
-def _check_irreducible_fp(p, coeffs):
-    deg = len(coeffs) - 1
+def _check_irreducible_fp(p, poly):
+    deg = max(poly)[0]
     candidates = sum(p ** d for d in range(1, deg // 2 + 1))
     if candidates > IRREDUCIBILITY_BUDGET:
         return
-    poly = {(i,): c for i, c in enumerate(coeffs) if c}
     for d in range(1, deg // 2 + 1):
         for code in range(p ** d):
             cand = {(d,): 1}
@@ -182,7 +223,7 @@ def _check_irreducible_fp(p, coeffs):
                 rest //= p
                 if c:
                     cand[(i,)] = c
-            if not polys._urem(poly, cand, p):
+            if not polys.urem(poly, cand, p):
                 raise ReducibleModulusError(
                     f"modulus factors over F_{p}: divisible by {polys.pstr(cand, ('x',))}"
                 )
@@ -233,8 +274,8 @@ def from_int(field, n):
     if field.kind == "fraction":
         num = polys.pconst(polys.cfrom_int(n, field.char), len(field.variables), field.char)
         return FieldElement(field, (polys.pcanon(num), _one_poly_canon(field)))
-    base = from_int(field.base, n)
-    return FieldElement(field, () if base.is_zero() else (base.payload,))
+    c = polys.cfrom_int(n, field.char)
+    return FieldElement(field, (c,) if c else ())
 
 
 def from_fraction(field, fr):
@@ -252,14 +293,13 @@ def variable(field, name):
 def xbar(field):
     if field.kind != "ext":
         raise FieldError(f"{field} is not an extension field")
+    p = field.char
     if len(field.modulus) == 2:
         # degree-1 modulus: xbar is the base root itself
-        a0 = FieldElement(field.base, field.modulus[0])
-        a1 = FieldElement(field.base, field.modulus[1])
-        root = -(a0 / a1)
-        return FieldElement(field, () if root.is_zero() else (root.payload,))
-    zval = _zero_payload(field.base)
-    return FieldElement(field, (zval, from_int(field.base, 1).payload))
+        a0, a1 = field.modulus
+        root = polys.cneg(polys.cmul(a0, polys.cinv(a1, p), p), p)
+        return FieldElement(field, (root,) if root else ())
+    return FieldElement(field, (polys.czero(p), polys.cone(p)))
 
 
 def _frac_make(field, num, den):
@@ -294,7 +334,7 @@ def _add(field, a, b):
         num = polys.padd(polys.pmul(an, bd, p), polys.pmul(bn, ad, p), p)
         den = polys.pmul(ad, bd, p)
         return _frac_make(field, num, den)
-    return _ext_make(field, _upoly_add(field.base, a, b))
+    return _dense(polys.padd(_upoly(a), _upoly(b), field.char), field.char)
 
 
 def _neg(field, a):
@@ -306,8 +346,7 @@ def _neg(field, a):
     if kind == "fraction":
         p = field.char
         return (polys.pcanon(polys.pneg(polys.pfrom_canon(a[0]), p)), a[1])
-    base = field.base
-    return tuple((-FieldElement(base, c)).payload for c in a)
+    return _dense(polys.pneg(_upoly(a), field.char), field.char)
 
 
 def _mul(field, a, b):
@@ -321,8 +360,9 @@ def _mul(field, a, b):
         num = polys.pmul(polys.pfrom_canon(a[0]), polys.pfrom_canon(b[0]), p)
         den = polys.pmul(polys.pfrom_canon(a[1]), polys.pfrom_canon(b[1]), p)
         return _frac_make(field, num, den)
-    prod = _upoly_mul(field.base, a, b)
-    return _ext_make(field, _upoly_rem(field.base, prod, field.modulus))
+    p = field.char
+    prod = polys.pmul(_upoly(a), _upoly(b), p)
+    return _dense(polys.urem(prod, _upoly(field.modulus), p), p)
 
 
 def _inv(field, a):
@@ -336,104 +376,30 @@ def _inv(field, a):
             field, polys.pfrom_canon(a[1]), polys.pfrom_canon(a[0])
         )
     # extended gcd of the residue against the modulus
-    base = field.base
-    g, s, _ = _upoly_egcd(base, a, field.modulus)
-    if len(g) != 1:
+    p = field.char
+    g, inv = polys.uegcd(_upoly(a), _upoly(field.modulus), p)
+    if g != {(0,): polys.cone(p)}:
         raise ReducibleModulusError(
             "nonzero residue is not invertible: the extension modulus is reducible"
         )
-    ginv = FieldElement(base, g[0]).inverse()
-    scaled = tuple((FieldElement(base, c) * ginv).payload for c in s)
-    return _ext_make(field, _upoly_rem(base, scaled, field.modulus))
+    return _dense(inv, p)
 
 
-# univariate polynomials over an arbitrary base field, as payload tuples
+# residues of K[x]/(f) are dense payload tuples; polys computes on
+# one-variable dicts
 
-def _upoly_strip(base, t):
-    t = list(t)
-    z = _zero_payload(base)
-    while t and t[-1] == z:
-        t.pop()
-    return tuple(t)
+def _upoly(t):
+    return {(i,): c for i, c in enumerate(t) if c}
 
 
-def _upoly_add(base, a, b):
-    z = _zero_payload(base)
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = FieldElement(base, a[i] if i < len(a) else z)
-        y = FieldElement(base, b[i] if i < len(b) else z)
-        out.append((x + y).payload)
-    return _upoly_strip(base, out)
-
-
-def _upoly_mul(base, a, b):
-    if not a or not b:
+def _dense(a, p):
+    if not a:
         return ()
-    z = zero(base)
-    out = [z] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        x = FieldElement(base, ca)
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + x * FieldElement(base, cb)
-    return _upoly_strip(base, [c.payload for c in out])
-
-
-def _upoly_rem(base, a, m):
-    a = list(a)
-    lead = FieldElement(base, m[-1]).inverse()
-    dm = len(m) - 1
-    while len(_upoly_strip(base, a)) > dm:
-        a = list(_upoly_strip(base, a))
-        if len(a) <= dm:
-            break
-        c = FieldElement(base, a[-1]) * lead
-        shift = len(a) - 1 - dm
-        for i, cm in enumerate(m):
-            cur = FieldElement(base, a[shift + i])
-            a[shift + i] = (cur - c * FieldElement(base, cm)).payload
-    return _upoly_strip(base, a)
-
-
-def _upoly_egcd(base, a, b):
-    """Extended gcd over base[x]: returns (g, s, t) with s*a + t*b = g."""
-    z, o = zero(base).payload, one(base).payload
-    r0, r1 = _upoly_strip(base, a), _upoly_strip(base, b)
-    s0, s1 = (o,), ()
-    t0, t1 = (), (o,)
-    while r1:
-        q, r = _upoly_divmod(base, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _upoly_add(base, s0, _upoly_neg(base, _upoly_mul(base, q, s1)))
-        t0, t1 = t1, _upoly_add(base, t0, _upoly_neg(base, _upoly_mul(base, q, t1)))
-    return r0, s0, t0
-
-
-def _upoly_neg(base, a):
-    return tuple((-FieldElement(base, c)).payload for c in a)
-
-
-def _upoly_divmod(base, a, b):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    lead = FieldElement(base, b[-1]).inverse()
-    db = len(b) - 1
-    r = list(a)
-    q = [zero(base).payload] * max(len(a) - db, 0)
-    while len(_upoly_strip(base, r)) - 1 >= db:
-        r = list(_upoly_strip(base, r))
-        c = FieldElement(base, r[-1]) * lead
-        shift = len(r) - 1 - db
-        q[shift] = c.payload
-        for i, cb in enumerate(b):
-            cur = FieldElement(base, r[shift + i])
-            r[shift + i] = (cur - c * FieldElement(base, cb)).payload
-    return _upoly_strip(base, q), _upoly_strip(base, r)
-
-
-def _ext_make(field, t):
-    return _upoly_strip(field.base, t)
+    z = polys.czero(p)
+    out = [z] * (max(a)[0] + 1)
+    for (i,), c in a.items():
+        out[i] = c
+    return tuple(out)
 
 
 # -- parsing -------------------------------------------------------------

@@ -430,7 +430,8 @@ def verify_free_up_to(pair, L):
                 failures.append("INCONSISTENT: " + " ".join(nword))
                 matrix_ok = False
             stack.append((nelt, nmat, k, depth + 1, nword))
-    assert checked == expected_word_count(L)
+    if checked != expected_word_count(L):
+        raise WitnessError(f"checked {checked} words, expected {expected_word_count(L)}")
     return FreenessReport(L, checked, not failures, matrix_ok, tuple(failures[:32]))
 
 

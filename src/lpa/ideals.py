@@ -172,26 +172,31 @@ def _check_relations(qm):
     total = algebra.zero(qm.target, field)
     for v in g.vertices:
         total = total + vimg[v]
-    assert total == one_t, "vertex images do not sum to the target identity"
+    _require(total == one_t, "vertex images do not sum to the target identity")
     for v in g.vertices:
         for w in g.vertices:
             expect = vimg[v] if v == w else algebra.zero(qm.target, field)
-            assert vimg[v] * vimg[w] == expect, "(V) fails under substitution"
+            _require(vimg[v] * vimg[w] == expect, "(V) fails under substitution")
     for e in g.edges:
         img = eimg[e.name]
-        assert vimg[e.src] * img == img == img * vimg[e.dst], "(E1) fails"
+        _require(vimg[e.src] * img == img == img * vimg[e.dst], "(E1) fails")
         simg = algebra.star(img)
-        assert vimg[e.dst] * simg == simg == simg * vimg[e.src], "(E2) fails"
+        _require(vimg[e.dst] * simg == simg == simg * vimg[e.src], "(E2) fails")
         for f in g.edges:
             prod = algebra.star(eimg[e.name]) * eimg[f.name]
             expect = vimg[e.dst] if e.name == f.name else algebra.zero(qm.target, field)
-            assert prod == expect, "(CK1) fails under substitution"
+            _require(prod == expect, "(CK1) fails under substitution")
     for v in g.vertices:
         if graphs.is_regular(g, v):
             total = algebra.zero(qm.target, field)
             for e in g.out_edges[v]:
                 total = total + eimg[e] * algebra.star(eimg[e])
-            assert total == vimg[v], "(CK2) fails under substitution"
+            _require(total == vimg[v], "(CK2) fails under substitution")
+
+
+def _require(holds, message):
+    if not holds:
+        raise IdealError(message)
 
 
 def phi_apply(qm, x):

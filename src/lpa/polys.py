@@ -62,10 +62,6 @@ def cfrom_int(n, p):
 
 # -- basic polynomial ops -----------------------------------------------
 
-def pzero():
-    return {}
-
-
 def pconst(c, nvars, p):
     if p:
         c = c % p
@@ -139,10 +135,6 @@ def pmonic(a, p):
     if lc == cone(p):
         return a
     return pscale(a, cinv(lc, p), p)
-
-
-def ptotal_degree(a):
-    return max((sum(e) for e in a), default=-1)
 
 
 def pdivexact(a, b, p):
@@ -255,7 +247,7 @@ def _gcd_rec(a, b, p):
     if nvars == 1:
         # univariate over a field: plain Euclid
         while b:
-            a, b = b, _urem(a, b, p)
+            a, b = b, urem(a, b, p)
         return a
     A = _to_univ(a)
     B = _to_univ(b)
@@ -296,11 +288,12 @@ def _gcd_rec(a, b, p):
     return _from_univ({d: pmul(c, cont, p) for d, c in B.items()})
 
 
-def _urem(a, b, p):
-    """Remainder of univariate a mod b over the coefficient field."""
+def udivmod(a, b, p):
+    """Quotient and remainder of univariate a by b over the coefficient field."""
     eb, cb = plead(b)
     db = eb[0]
     cbinv = cinv(cb, p)
+    q = {}
     r = dict(a)
     while r:
         er, cr = plead(r)
@@ -308,6 +301,7 @@ def _urem(a, b, p):
             break
         c = cmul(cr, cbinv, p)
         shift = er[0] - db
+        q[(shift,)] = c
         for e2, c2 in b.items():
             e = (e2[0] + shift,)
             s = csub(r.get(e, czero(p)), cmul(c, c2, p), p)
@@ -315,7 +309,26 @@ def _urem(a, b, p):
                 r[e] = s
             else:
                 r.pop(e, None)
-    return r
+    return q, r
+
+
+def urem(a, b, p):
+    """Remainder of univariate a mod b over the coefficient field."""
+    return udivmod(a, b, p)[1]
+
+
+def uegcd(a, b, p):
+    """Monic gcd g of univariate a and b, and s with s*a = g mod b."""
+    r0, r1 = a, b
+    s0, s1 = {(0,): cone(p)}, {}
+    while r1:
+        q, r = udivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
+    if not r0:
+        return {}, {}
+    inv = cinv(plead(r0)[1], p)
+    return pscale(r0, inv, p), pscale(s0, inv, p)
 
 
 def pgcd(a, b, p):

@@ -140,11 +140,7 @@ class ModuleVector:
             raise ModuleError("vectors live in different modules")
         acc = dict(self.terms)
         for b, c in other.terms:
-            s = acc.get(b, fields.zero(self.module.field)) + c
-            if s.is_zero():
-                acc.pop(b, None)
-            else:
-                acc[b] = s
+            fields.add_term(acc, b, c)
         return _vec(self.module, acc)
 
     def __sub__(self, other):
@@ -271,8 +267,7 @@ def sigma_substitute(twist, x):
     acc = {}
     for m, c in x.terms:
         k = m.lam.count(twist.edge) - m.nu.count(twist.edge)
-        scale = xb ** k if k >= 0 else xbinv ** (-k)
-        acc[m] = acc.get(m, fields.zero(field)) + c * scale
+        acc[m] = c * (xb ** k if k >= 0 else xbinv ** (-k))
     return algebra.element(x.graph, field, x.mode, acc)
 
 
@@ -287,30 +282,12 @@ def act(x, mv):
         x = sigma_substitute(module.twist, x)
     g = module.graph
     acc = {}
-    zero_f = fields.zero(module.field)
     for m, c in x.terms:
         for b, k in mv.terms:
             out = _act_monomial(g, m, b)
-            if out is None:
-                continue
-            s = acc.get(out, zero_f) + c * k
-            if s.is_zero():
-                acc.pop(out, None)
-            else:
-                acc[out] = s
+            if out is not None:
+                fields.add_term(acc, out, c * k)
     return _vec(module, acc)
-
-
-def twisted_act(twist, x, mv):
-    """Act through the twisting automorphism regardless of the module tag."""
-    untwisted = ModuleVector(
-        ModuleSpec(
-            mv.module.kind, mv.module.graph, mv.module.field,
-            cycle=mv.module.cycle, vertex=mv.module.vertex, twist=None,
-        ),
-        mv.terms,
-    )
-    return act(sigma_substitute(twist, x), untwisted)
 
 
 # -- basis sampling ---------------------------------------------------------

@@ -34,11 +34,7 @@ class FinitaryMatrix:
         _check(self, other)
         acc = dict(self.entries)
         for pos, c in other.entries:
-            s = acc.get(pos, fields.zero(self.field)) + c
-            if s.is_zero():
-                acc.pop(pos, None)
-            else:
-                acc[pos] = s
+            fields.add_term(acc, pos, c)
         return _fin(self.field, acc)
 
     def __sub__(self, other):
@@ -52,11 +48,7 @@ class FinitaryMatrix:
         acc = {}
         for (i, k), a in self.entries:
             for j, b in cols.get(k, ()):
-                s = acc.get((i, j), fields.zero(self.field)) + a * b
-                if s.is_zero():
-                    acc.pop((i, j), None)
-                else:
-                    acc[(i, j)] = s
+                fields.add_term(acc, (i, j), a * b)
         return _fin(self.field, acc)
 
     def scale(self, k):
@@ -154,7 +146,8 @@ def global_det(u):
         return fields.one(u.field)
     d = linalg.det_gauss(u.dense(n))
     d_next = linalg.det_gauss(u.dense(n + 1))
-    assert d == d_next, "global determinant is not stable under enlarging n"
+    if d != d_next:
+        raise ToeplitzError("global determinant is not stable under enlarging n")
     return d
 
 

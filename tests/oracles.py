@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles, staying away from
 the code paths under test: a free-word rewriter applying relations in random
-order, transitive-closure reachability, subset-enumeration closure, and
-closed-walk cycle enumeration.
+order, transitive-closure reachability, subset-enumeration closure,
+closed-walk cycle enumeration, and multiplication matrices of simple field
+extensions.
 """
 
 from __future__ import annotations
@@ -210,3 +211,33 @@ def closed_walks_cycles(g):
     for e in g.edge_map:
         extend([e])
     return found
+
+
+# -- extension-field oracle ---------------------------------------------------
+
+
+def multiplication_matrix(coords, modulus, p):
+    """Matrix of y -> a*y on K[x]/(f) in the basis 1, x, .., x^(n-1).
+
+    ``coords`` are the n coordinates of a and ``modulus`` the coefficients of
+    f, both degree-ascending, over K = Q (p = 0) or F_p.  Column j holds
+    a*x^j, built by repeated multiplication by x with x^n folded back through
+    the monic f.
+    """
+    def norm(c):
+        return c % p if p else Fraction(c)
+
+    lead_inv = pow(modulus[-1], p - 2, p) if p else 1 / Fraction(modulus[-1])
+    monic = [norm(c * lead_inv) for c in modulus[:-1]]
+    col = [norm(c) for c in coords]
+    cols = []
+    for _ in range(len(monic)):
+        cols.append(col)
+        top = col[-1]
+        col = [norm(c - top * m) for c, m in zip([0] + col[:-1], monic)]
+    return [list(row) for row in zip(*cols)]
+
+
+def mat_mul(a, b, p):
+    out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return [[c % p if p else c for c in row] for row in out]

@@ -1,6 +1,7 @@
 """Expression grammar (star lexing is bit-exact) and the CLI surface."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -86,11 +87,12 @@ def test_roundtrip_on_corpus_of_expressions(graphs_by_name, Q):
         count += 1
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "lpa.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -107,6 +109,31 @@ def test_cli_parse_error_exit_2():
     assert "ExprError" in out.stderr
     out2 = run_cli("nf", "--graph", "nosuchgraph", "--expr", "u")
     assert out2.returncode == 2
+
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "--graph", "toeplitz", "--expr", "1/0"),
+    ("nf", "--graph", "toeplitz", "--field", "F5", "--expr", "1/5 u"),
+    ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "2",
+     "--verify-len", "0"),
+    ("nf", "--graph", TESTS_DIR, "--expr", "u"),
+    ("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^2)", "--expr", "xbar*u"),
+])
+def test_cli_bad_input_exit_2_without_traceback(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error (")
+
+
+def test_cli_large_prime_field():
+    out = run_cli("nf", "--graph", "toeplitz", "--field", "F1000000000000000000000000000057",
+                  "--expr", "2 u", timeout=60)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[0] == "2 u"
 
 
 def test_cli_domain_error_exit_1():

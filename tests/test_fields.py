@@ -179,3 +179,76 @@ def test_function_field_validation(Q):
         fields.function_field(Q, ["t", "t"])
     with pytest.raises(fields.FieldError):
         fields.function_field(fields.parse_descriptor("Q(t)"), ["u"])
+
+
+def test_extension_modulus_must_be_squarefree(Q, Qt):
+    for desc in ("Q[x]/(x^2)", "Q[x]/(x^4+2*x^2+1)", "F7[x]/(x^2)", "F101[x]/(x^4+2*x^2+1)"):
+        with pytest.raises(fields.FieldError):
+            fields.parse_descriptor(desc)
+    # the degree-4 F_101 modulus is above the exhaustive-irreducibility budget,
+    # so only the squarefree check stands between it and a "field"
+    with pytest.raises(fields.FieldError, match="squarefree"):
+        fields.parse_descriptor("F101[x]/(x^4+2*x^2+1)")
+    with pytest.raises(fields.FieldError):
+        fields.extension(Qt, [1, 0, 1])
+
+
+def test_is_prime_matches_sympy_and_is_fast():
+    import sympy
+
+    for n in range(-2, 3000):
+        assert fields._is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to the leading prime bases, including the least
+    # one to all of 2..41, and primes on either side of that bound
+    for n in (3215031751, 318665857834031151167461, 3317044064679887385961981,
+              2 ** 61 - 1, 2 ** 89 - 1, 10 ** 30 + 57, 10 ** 30 + 59, 2 ** 127 - 1):
+        assert fields._is_prime(n) == sympy.isprime(n), n
+    assert fields.prime_field(10 ** 30 + 57).char == 10 ** 30 + 57
+    with pytest.raises(fields.FieldError):
+        fields.prime_field(2 ** 521 - 1)
+
+
+EXTENSIONS = [
+    ("Q[x]/(x^2+1)", 0, [1, 0, 1]),
+    ("Q[x]/(x^3-2)", 0, [-2, 0, 0, 1]),
+    ("Q[x]/(2*x-1)", 0, [-1, 2]),
+    ("F2[x]/(x^2+x+1)", 2, [1, 1, 1]),
+    ("F3[x]/(x^3-x+1)", 3, [1, -1, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("desc, p, modulus", EXTENSIONS)
+def test_extension_arithmetic_matches_matrix_oracle(desc, p, modulus):
+    import oracles
+
+    K = fields.parse_descriptor(desc)
+    n = len(modulus) - 1
+    rng = random.Random(31)
+
+    def draw():
+        if p:
+            return [rng.randrange(p) for _ in range(n)]
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+
+    def element(coords):
+        payload = list(coords)
+        while payload and not payload[-1]:
+            payload.pop()
+        return fields.FieldElement(K, tuple(payload))
+
+    def coords(x):
+        zero = 0 if p else Fraction(0)
+        return list(x.payload) + [zero] * (n - len(x.payload))
+
+    def matrix(c):
+        return oracles.multiplication_matrix(c, modulus, p)
+
+    identity = matrix([1] + [0] * (n - 1))
+    for _ in range(60):
+        a, b = draw(), draw()
+        x, y = element(a), element(b)
+        assert coords(x + y) == [(s + t) % p if p else s + t for s, t in zip(a, b)]
+        assert coords(-x) == [-s % p if p else -s for s in a]
+        assert matrix(coords(x * y)) == oracles.mat_mul(matrix(a), matrix(b), p)
+        if any(a):
+            assert oracles.mat_mul(matrix(a), matrix(coords(x.inverse())), p) == identity

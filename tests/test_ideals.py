@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lpa import algebra, graphs, ideals, sampling
+from lpa import algebra, fields, graphs, ideals, sampling
 
 
 def test_breaking_vertices_ex11(graphs_by_name):
@@ -227,3 +227,15 @@ def test_classify_diagnostics(graphs_by_name):
     report2 = ideals.classify_primitive_witness(two, spec2)
     assert report2.kind == "not_applicable"
     assert report2.diagnostics
+
+
+def test_relation_check_raises_on_wrong_images(graphs_by_name, Q):
+    import dataclasses
+
+    g = graphs_by_name["ex11"]
+    spec = ideals.admissible_pair(g, ("v1", "v2"), ("v",))
+    qm = ideals.make_quotient_map(g, spec, Q)
+    edges = tuple((name, img.scale(fields.from_int(Q, 2)) if name == "h" else img)
+                  for name, img in qm.edge_images)
+    with pytest.raises(ideals.IdealError):
+        ideals._check_relations(dataclasses.replace(qm, edge_images=edges))
