@@ -71,26 +71,30 @@ def is_forbidden(g, m):
 
 @lru_cache(maxsize=None)
 def _reduce_leavitt(g, m):
-    """Rewrite a raw monomial into basis monomials with integer weights."""
-    if not is_forbidden(g, m):
-        return ((m, 1),)
-    e = m.lam[-1]
-    v = g.edge_map[e].src
-    acc = {}
-    base = Monomial(m.lam[:-1], m.nu[:-1], v)
-    for m2, c in _reduce_leavitt(g, base):
-        acc[m2] = acc.get(m2, 0) + c
-    for other in g.out_edges[v][:-1]:
-        dst = g.edge_map[other].dst
-        m2 = Monomial(m.lam[:-1] + (other,), m.nu[:-1] + (other,), dst)
-        acc[m2] = acc.get(m2, 0) - 1
-    return tuple((m2, c) for m2, c in acc.items() if c)
+    """Rewrite a raw monomial into basis monomials with integer weights.
+
+    Each trailing forbidden pair peels off in turn: the monomials it
+    subtracts end in a non-maximal edge, so they are basis monomials, all of
+    distinct lengths, and only the shortened remainder can be forbidden.
+    """
+    out = []
+    while is_forbidden(g, m):
+        v = g.edge_map[m.lam[-1]].src
+        lam, nu = m.lam[:-1], m.nu[:-1]
+        for other in g.out_edges[v][:-1]:
+            out.append((Monomial(lam + (other,), nu + (other,), g.edge_map[other].dst), -1))
+        m = Monomial(lam, nu, v)
+    out.append((m, 1))
+    return tuple(out)
 
 
 def _add_reduced(acc, g, field, m, c):
-    """Accumulate ``c * m`` into ``acc`` through the Leavitt rewrite of m."""
+    """Accumulate the payload ``c * m`` into ``acc`` through the Leavitt
+    rewrite of m."""
+    add, mul, zero = field.ops
     for m2, k in _reduce_leavitt(g, m):
-        fields.add_term(acc, m2, c if k == 1 else c * fields.from_int(field, k))
+        term = c if k == 1 else mul(c, fields._int_payload(field, k))
+        fields.add_term(acc, m2, term, add, zero)
 
 
 def mono_mul(g, m1, m2):
@@ -130,9 +134,10 @@ class AlgebraElement:
 
     def __add__(self, other):
         _compat(self, other)
-        acc = dict(self.terms)
+        add, _, zero = self.field.ops
+        acc = {m: c.payload for m, c in self.terms}
         for m, c in other.terms:
-            fields.add_term(acc, m, c)
+            fields.add_term(acc, m, c.payload, add, zero)
         return _assemble(self.graph, self.field, self.mode, acc)
 
     def __sub__(self, other):
@@ -146,19 +151,22 @@ class AlgebraElement:
 
     def __mul__(self, other):
         _compat(self, other)
-        g = self.graph
+        g, field = self.graph, self.field
+        add, mul, zero = field.ops
         acc = {}
         leavitt = self.mode == LEAVITT
+        rhs = [(m2, c2.payload) for m2, c2 in other.terms]
         for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
+            c1 = c1.payload
+            for m2, c2 in rhs:
                 raw = mono_mul(g, m1, m2)
                 if raw is None:
                     continue
                 if leavitt:
-                    _add_reduced(acc, g, self.field, raw, c1 * c2)
+                    _add_reduced(acc, g, field, raw, mul(c1, c2))
                 else:
-                    fields.add_term(acc, raw, c1 * c2)
-        return _assemble(g, self.field, self.mode, acc)
+                    fields.add_term(acc, raw, mul(c1, c2), add, zero)
+        return _assemble(g, field, self.mode, acc)
 
     def scale(self, k):
         if not isinstance(k, fields.FieldElement) or k.field != self.field:
@@ -183,18 +191,19 @@ def _compat(a, b):
 
 
 def _assemble(g, field, mode, acc):
-    terms = tuple(
-        sorted(((m, c) for m, c in acc.items()), key=lambda t: t[0].sort_key())
-    )
+    """The element of the sparse payload dict ``acc``."""
+    monos = sorted(acc, key=Monomial.sort_key)
     if mode == LEAVITT:
-        for m, _ in terms:
+        for m in monos:
             if is_forbidden(g, m):
                 raise AlgebraError(f"forbidden monomial {m} survived reduction")
+    terms = tuple((m, fields.FieldElement(field, acc[m])) for m in monos)
     return AlgebraElement(g, field, mode, terms)
 
 
 def element(g, field, mode, coeffs):
     """Build an element from {Monomial: FieldElement}, validating and reducing."""
+    add, _, zero = field.ops
     acc = {}
     for m, c in coeffs.items():
         _validate_monomial(g, m)
@@ -203,9 +212,9 @@ def element(g, field, mode, coeffs):
         if c.is_zero():
             continue
         if mode == LEAVITT:
-            _add_reduced(acc, g, field, m, c)
+            _add_reduced(acc, g, field, m, c.payload)
         else:
-            fields.add_term(acc, m, c)
+            fields.add_term(acc, m, c.payload, add, zero)
     return _assemble(g, field, mode, acc)
 
 

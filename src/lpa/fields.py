@@ -1,9 +1,11 @@
 """Exact coefficient fields: Q, F_p, rational function fields, simple extensions.
 
 Every element carries its field descriptor and a canonical payload, so equal
-elements have identical payloads and everything is hashable:
+elements have identical payloads and everything is hashable (``Fraction(2)``
+equals and hashes like ``2``, so a caller-built ``Fraction`` payload still
+compares equal):
 
-* Q           -- ``Fraction``
+* Q           -- ``int`` while integral, ``Fraction`` otherwise
 * F_p         -- int in ``[0, p)``
 * K(t1,..,tk) -- reduced pair of polynomial term-tuples, denominator monic
                  under grlex (see :mod:`lpa.polys`)
@@ -16,9 +18,11 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Optional
 
 from . import polys
+from .polys import _qnorm
 
 
 class FieldError(ValueError):
@@ -43,6 +47,11 @@ class FieldDescriptor:
 
     def __str__(self):
         return descriptor_str(self)
+
+    @cached_property
+    def ops(self):
+        """``(add, mul, zero)`` on raw payloads of this field."""
+        return _payload_ops(self)
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,9 @@ class FieldElement:
         return out
 
     def is_zero(self):
-        return self.payload == _zero_payload(self.field)
+        if self.field.kind == "fraction":
+            return not self.payload[0]
+        return not self.payload
 
     def __bool__(self):
         return not self.is_zero()
@@ -103,12 +114,14 @@ def _check(a, b):
         raise FieldMismatchError("operands lie in different fields")
 
 
-def add_term(acc, key, c):
-    """``acc[key] += c`` on a sparse dict of field elements: a key whose sum
-    is zero is dropped, so ``acc`` never holds a zero."""
-    if key in acc:
-        c = acc[key] + c
-    if c.is_zero():
+def add_term(acc, key, c, add, zero):
+    """``acc[key] += c`` on a sparse dict of payloads, with the field's
+    ``add`` and ``zero`` from ``FieldDescriptor.ops``: a key whose sum is zero
+    is dropped, so ``acc`` never holds a zero."""
+    prev = acc.get(key)
+    if prev is not None:
+        c = add(prev, c)
+    if c == zero:
         acc.pop(key, None)
     else:
         acc[key] = c
@@ -180,7 +193,7 @@ IRREDUCIBILITY_BUDGET = 10_000
 
 def extension(base, coeffs):
     """Simple extension of ``base`` (Q or F_p) by a monic-or-not nonconstant
-    squarefree modulus.
+    squarefree modulus; over Q one of degree >= 2 must have no rational root.
 
     ``coeffs`` are base-field elements (or ints), degree-ascending.
     """
@@ -206,7 +219,46 @@ def extension(base, coeffs):
     df = {e: c for e, c in df.items() if c}
     if polys.uegcd(f, df, p)[0] != {(0,): polys.cone(p)}:
         raise FieldError(f"extension modulus {_upoly_str(base, modulus, 'x')} is not squarefree")
+    if not p and len(modulus) > 2:
+        root = _rational_root(modulus)
+        if root is not None:
+            raise ReducibleModulusError(
+                f"modulus {_upoly_str(base, modulus, 'x')} factors over Q: it has the root {root}"
+            )
     return FieldDescriptor("ext", p, base=base, modulus=modulus)
+
+
+def _rational_root(coeffs):
+    """A rational root of the Q polynomial with degree-ascending ``coeffs``,
+    or None when it has none or the search is over budget.
+
+    With denominators cleared to integers a_0..a_n, a root d/e in lowest
+    terms has d | a_0 and e | a_n.  Past IRREDUCIBILITY_BUDGET trial
+    divisions or candidates the modulus is trusted, as over F_p.
+    """
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    a = [int(c * scale) for c in coeffs]
+    n = len(a) - 1
+    if a[0] == 0:
+        return 0
+    if math.isqrt(abs(a[0])) + math.isqrt(abs(a[n])) > IRREDUCIBILITY_BUDGET:
+        return None
+    nums, dens = _divisors(abs(a[0])), _divisors(abs(a[n]))
+    if 2 * len(nums) * len(dens) > IRREDUCIBILITY_BUDGET:
+        return None
+    for d in nums:
+        for e in dens:
+            if math.gcd(d, e) != 1:
+                continue
+            for r in (d, -d):
+                if not sum(c * r ** i * e ** (n - i) for i, c in enumerate(a)):
+                    return Fraction(r, e)
+    return None
+
+
+def _divisors(n):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _check_irreducible_fp(p, poly):
@@ -244,10 +296,8 @@ def profile(field):
 # -- payload arithmetic --------------------------------------------------
 
 def _zero_payload(field):
-    if field.kind == "Q":
-        return Fraction(0)
-    if field.kind == "Fp":
-        return 0
+    if field.kind in ("Q", "Fp"):
+        return polys.czero(field.char)
     if field.kind == "fraction":
         return (polys.pcanon({}), _one_poly_canon(field))
     return ()
@@ -267,15 +317,17 @@ def one(field):
 
 
 def from_int(field, n):
-    if field.kind == "Q":
-        return FieldElement(field, Fraction(n))
-    if field.kind == "Fp":
-        return FieldElement(field, n % field.char)
-    if field.kind == "fraction":
-        num = polys.pconst(polys.cfrom_int(n, field.char), len(field.variables), field.char)
-        return FieldElement(field, (polys.pcanon(num), _one_poly_canon(field)))
+    return FieldElement(field, _int_payload(field, n))
+
+
+def _int_payload(field, n):
     c = polys.cfrom_int(n, field.char)
-    return FieldElement(field, (c,) if c else ())
+    if field.kind in ("Q", "Fp"):
+        return c
+    if field.kind == "fraction":
+        num = polys.pconst(c, len(field.variables), field.char)
+        return (polys.pcanon(num), _one_poly_canon(field))
+    return (c,) if c else ()
 
 
 def from_fraction(field, fr):
@@ -323,10 +375,8 @@ def _frac_make(field, num, den):
 
 def _add(field, a, b):
     kind = field.kind
-    if kind == "Q":
-        return a + b
-    if kind == "Fp":
-        return (a + b) % field.char
+    if kind in ("Q", "Fp"):
+        return polys.cadd(a, b, field.char)
     if kind == "fraction":
         p = field.char
         an, ad = polys.pfrom_canon(a[0]), polys.pfrom_canon(a[1])
@@ -339,10 +389,8 @@ def _add(field, a, b):
 
 def _neg(field, a):
     kind = field.kind
-    if kind == "Q":
-        return -a
-    if kind == "Fp":
-        return (-a) % field.char
+    if kind in ("Q", "Fp"):
+        return polys.cneg(a, field.char)
     if kind == "fraction":
         p = field.char
         return (polys.pcanon(polys.pneg(polys.pfrom_canon(a[0]), p)), a[1])
@@ -351,10 +399,8 @@ def _neg(field, a):
 
 def _mul(field, a, b):
     kind = field.kind
-    if kind == "Q":
-        return a * b
-    if kind == "Fp":
-        return (a * b) % field.char
+    if kind in ("Q", "Fp"):
+        return polys.cmul(a, b, field.char)
     if kind == "fraction":
         p = field.char
         num = polys.pmul(polys.pfrom_canon(a[0]), polys.pfrom_canon(b[0]), p)
@@ -367,10 +413,8 @@ def _mul(field, a, b):
 
 def _inv(field, a):
     kind = field.kind
-    if kind == "Q":
-        return Fraction(1) / a
-    if kind == "Fp":
-        return pow(a, field.char - 2, field.char)
+    if kind in ("Q", "Fp"):
+        return polys.cinv(a, field.char)
     if kind == "fraction":
         return _frac_make(
             field, polys.pfrom_canon(a[1]), polys.pfrom_canon(a[0])
@@ -383,6 +427,23 @@ def _inv(field, a):
             "nonzero residue is not invertible: the extension modulus is reducible"
         )
     return _dense(inv, p)
+
+
+def _payload_ops(field):
+    if field.kind == "Q":
+        def add(a, b):
+            s = a + b
+            return s if type(s) is int else _qnorm(s)
+
+        def mul(a, b):
+            s = a * b
+            return s if type(s) is int else _qnorm(s)
+
+        return add, mul, 0
+    if field.kind == "Fp":
+        p = field.char
+        return (lambda a, b: (a + b) % p), (lambda a, b: a * b % p), 0
+    return partial(_add, field), partial(_mul, field), _zero_payload(field)
 
 
 # residues of K[x]/(f) are dense payload tuples; polys computes on
@@ -479,10 +540,10 @@ def parse_element(field, text):
         return from_int(field, int(text))
     m = _FRAC_RE.match(text)
     if m:
-        if field.char:
-            num = from_int(field, int(m.group(1)))
-            return num / from_int(field, int(m.group(2)))
-        return from_fraction(field, Fraction(int(m.group(1)), int(m.group(2))))
+        try:
+            return from_int(field, int(m.group(1))) / from_int(field, int(m.group(2)))
+        except ZeroDivisionError:
+            raise FieldError(f"zero denominator in scalar literal {text!r} over {field}") from None
     if text == "xbar" and field.kind == "ext":
         return xbar(field)
     if field.kind == "fraction" and text in field.variables:

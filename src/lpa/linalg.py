@@ -1,4 +1,5 @@
-"""Small dense exact matrices over a FieldElement coefficient field."""
+"""Small dense exact matrices of FieldElement entries; products run on raw
+payloads through the field's ``ops``."""
 
 from __future__ import annotations
 
@@ -46,16 +47,20 @@ class DenseMatrix:
 
     def __mul__(self, other):
         _check(self, other)
-        cols = tuple(zip(*other.rows))
+        field = self.field
+        add, mul, zero = field.ops
+        cols = tuple(zip(*((b.payload for b in row) for row in other.rows)))
         out = []
         for row in self.rows:
-            out.append(
-                tuple(
-                    sum((a * b for a, b in zip(row, col)), fields.zero(self.field))
-                    for col in cols
-                )
-            )
-        return DenseMatrix(self.field, tuple(out))
+            row = [a.payload for a in row]
+            cells = []
+            for col in cols:
+                s = zero
+                for a, b in zip(row, col):
+                    s = add(s, mul(a, b))
+                cells.append(fields.FieldElement(field, s))
+            out.append(tuple(cells))
+        return DenseMatrix(field, tuple(out))
 
     def scale(self, k):
         return DenseMatrix(
@@ -80,6 +85,16 @@ def _check(a, b):
         raise MatrixError("matrix shape or field mismatch")
 
 
+def _entry(field, a):
+    """A matrix entry of ``field``; products skip the per-entry field check,
+    so a foreign entry is refused here."""
+    if isinstance(a, int):
+        return fields.from_int(field, a)
+    if not isinstance(a, fields.FieldElement) or a.field != field:
+        raise MatrixError(f"matrix entry {a!r} does not lie in {field}")
+    return a
+
+
 def zeros(field, n):
     z = fields.zero(field)
     return DenseMatrix(field, tuple(tuple(z for _ in range(n)) for _ in range(n)))
@@ -95,7 +110,7 @@ def identity_matrix(field, n):
 
 def matrix_unit(field, n, i, j, value=None):
     """E_ij (1-indexed), optionally scaled."""
-    value = fields.one(field) if value is None else value
+    value = fields.one(field) if value is None else _entry(field, value)
     z = fields.zero(field)
     return DenseMatrix(
         field,
@@ -107,14 +122,7 @@ def matrix_unit(field, n, i, j, value=None):
 
 
 def from_rows(field, rows):
-    out = []
-    for row in rows:
-        cells = []
-        for a in row:
-            if isinstance(a, int):
-                a = fields.from_int(field, a)
-            cells.append(a)
-        out.append(tuple(cells))
+    out = [tuple(_entry(field, a) for a in row) for row in rows]
     if any(len(r) != len(out) for r in out):
         raise MatrixError("matrix must be square")
     return DenseMatrix(field, tuple(out))

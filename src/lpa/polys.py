@@ -1,8 +1,9 @@
 """Multivariate polynomial arithmetic over Q and F_p.
 
 Polynomials are dicts mapping exponent tuples (one slot per variable) to
-nonzero coefficients.  Coefficients are ``Fraction`` when the characteristic
-``p`` is 0 and plain ints in ``[0, p)`` otherwise.  The zero polynomial is the
+nonzero coefficients.  When the characteristic ``p`` is 0 a coefficient is an
+``int`` while it is integral and a ``Fraction`` otherwise; in characteristic
+``p`` it is an int in ``[0, p)``.  The zero polynomial is the
 empty dict.  Monomials are ordered graded-lexicographically with the declared
 variable order, which fixes leading terms and hence all the normalizations
 below (monic gcds, monic denominators).
@@ -22,20 +23,27 @@ class NotDivisibleError(ArithmeticError):
 
 # -- coefficient domain -------------------------------------------------
 
+def _qnorm(x):
+    """A rational in canonical form: the int itself while it is integral."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
 def czero(p):
-    return 0 if p else Fraction(0)
+    return 0
 
 
 def cone(p):
-    return 1 if p else Fraction(1)
+    return 1
 
 
 def cadd(a, b, p):
-    return (a + b) % p if p else a + b
+    return (a + b) % p if p else _qnorm(a + b)
 
 
 def csub(a, b, p):
-    return (a - b) % p if p else a - b
+    return (a - b) % p if p else _qnorm(a - b)
 
 
 def cneg(a, p):
@@ -43,7 +51,7 @@ def cneg(a, p):
 
 
 def cmul(a, b, p):
-    return (a * b) % p if p else a * b
+    return (a * b) % p if p else _qnorm(a * b)
 
 
 def cinv(a, p):
@@ -53,11 +61,11 @@ def cinv(a, p):
         return pow(a, p - 2, p)
     if a == 0:
         raise ZeroDivisionError("inverse of 0 in Q")
-    return Fraction(1) / a
+    return _qnorm(Fraction(1) / a)
 
 
 def cfrom_int(n, p):
-    return n % p if p else Fraction(n)
+    return n % p if p else _qnorm(n)
 
 
 # -- basic polynomial ops -----------------------------------------------

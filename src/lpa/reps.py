@@ -138,9 +138,10 @@ class ModuleVector:
     def __add__(self, other):
         if self.module != other.module:
             raise ModuleError("vectors live in different modules")
-        acc = dict(self.terms)
+        add, _, zero = self.module.field.ops
+        acc = {b: c.payload for b, c in self.terms}
         for b, c in other.terms:
-            fields.add_term(acc, b, c)
+            fields.add_term(acc, b, c.payload, add, zero)
         return _vec(self.module, acc)
 
     def __sub__(self, other):
@@ -163,14 +164,15 @@ class ModuleVector:
 
 
 def _vec(module, acc):
-    return ModuleVector(
-        module, tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
-    )
+    """The vector of the sparse payload dict ``acc``."""
+    field = module.field
+    basis = sorted(acc, key=lambda b: b.sort_key())
+    return ModuleVector(module, tuple((b, fields.FieldElement(field, acc[b])) for b in basis))
 
 
 def basis_vector(module, b):
     _validate_basis(module, b)
-    return _vec(module, {b: fields.one(module.field)})
+    return _vec(module, {b: fields.one(module.field).payload})
 
 
 def _validate_basis(module, b):
@@ -281,12 +283,15 @@ def act(x, mv):
     if module.twist is not None:
         x = sigma_substitute(module.twist, x)
     g = module.graph
+    add, mul, zero = module.field.ops
     acc = {}
+    vec = [(b, k.payload) for b, k in mv.terms]
     for m, c in x.terms:
-        for b, k in mv.terms:
+        c = c.payload
+        for b, k in vec:
             out = _act_monomial(g, m, b)
             if out is not None:
-                fields.add_term(acc, out, c * k)
+                fields.add_term(acc, out, mul(c, k), add, zero)
     return _vec(module, acc)
 
 

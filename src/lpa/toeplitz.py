@@ -32,9 +32,10 @@ class FinitaryMatrix:
 
     def __add__(self, other):
         _check(self, other)
-        acc = dict(self.entries)
+        add, _, zero = self.field.ops
+        acc = {pos: c.payload for pos, c in self.entries}
         for pos, c in other.entries:
-            fields.add_term(acc, pos, c)
+            fields.add_term(acc, pos, c.payload, add, zero)
         return _fin(self.field, acc)
 
     def __sub__(self, other):
@@ -42,13 +43,15 @@ class FinitaryMatrix:
 
     def __mul__(self, other):
         _check(self, other)
+        add, mul, zero = self.field.ops
         cols = {}
         for (i, j), c in other.entries:
-            cols.setdefault(i, []).append((j, c))
+            cols.setdefault(i, []).append((j, c.payload))
         acc = {}
         for (i, k), a in self.entries:
+            a = a.payload
             for j, b in cols.get(k, ()):
-                fields.add_term(acc, (i, j), a * b)
+                fields.add_term(acc, (i, j), mul(a, b), add, zero)
         return _fin(self.field, acc)
 
     def scale(self, k):
@@ -81,7 +84,10 @@ def _check(a, b):
 
 
 def _fin(field, acc):
-    return FinitaryMatrix(field, tuple(sorted(acc.items(), key=lambda t: t[0])))
+    """The matrix of the sparse payload dict ``acc``."""
+    return FinitaryMatrix(
+        field, tuple((pos, fields.FieldElement(field, acc[pos])) for pos in sorted(acc))
+    )
 
 
 def fin_zero(field):
@@ -92,9 +98,11 @@ def fin_unit(field, i, j, value=None):
     if i < 1 or j < 1:
         raise ToeplitzError("finitary indices start at 1")
     value = fields.one(field) if value is None else value
+    if not isinstance(value, fields.FieldElement) or value.field != field:
+        raise ToeplitzError(f"entry {value!r} does not lie in {field}")
     if value.is_zero():
         return fin_zero(field)
-    return _fin(field, {(i, j): value})
+    return _fin(field, {(i, j): value.payload})
 
 
 @dataclass(frozen=True)
@@ -208,7 +216,7 @@ def toeplitz_embed(x, N):
     g, field = x.graph, x.field
     if tuple(sorted(g.vertices)) != ("u", "v") or sorted(g.edge_map) != ["e", "f"]:
         raise ToeplitzError("toeplitz_embed expects the Toeplitz graph")
-    one = fields.one(field)
+    one = fields.one(field).payload
     images = {
         "u": _fin(field, {(i, i): one for i in range(2, N + 1)}),
         "v": _fin(field, {(1, 1): one}),
@@ -216,7 +224,7 @@ def toeplitz_embed(x, N):
         "f": _fin(field, {(2, 1): one}),
     }
     ghosts = {
-        name: _fin(field, {(j, i): c for (i, j), c in m.entries})
+        name: _fin(field, {(j, i): c.payload for (i, j), c in m.entries})
         for name, m in images.items()
     }
     out = fin_zero(field)

@@ -3,15 +3,16 @@
 Everything here recomputes results from first principles, staying away from
 the code paths under test: a free-word rewriter applying relations in random
 order, transitive-closure reachability, subset-enumeration closure,
-closed-walk cycle enumeration, and multiplication matrices of simple field
-extensions.
+closed-walk cycle enumeration, multiplication matrices of simple field
+extensions, and term-by-term and row-by-column products in ``FieldElement``
+arithmetic for the payload kernels of the algebra and matrix products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lpa import algebra, graphs
+from lpa import algebra, fields, graphs
 
 # symbols: ("v", name) | ("e", name) | ("g", name)  (g = ghost edge)
 
@@ -121,8 +122,6 @@ def word_to_monomial(g, word):
 
 
 def combo_to_element(g, field, combo, mode):
-    from lpa import fields
-
     acc = {}
     for word, c in combo.items():
         m = word_to_monomial(g, word)
@@ -241,3 +240,49 @@ def multiplication_matrix(coords, modulus, p):
 def mat_mul(a, b, p):
     out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
     return [[c % p if p else c for c in row] for row in out]
+
+
+# -- slow product paths -------------------------------------------------------
+
+
+def leavitt_rewrite(g, m):
+    """The CK2 rewrite of one raw monomial by recursion on its trailing
+    forbidden pair, uncached: {Monomial: int weight}."""
+    if not algebra.is_forbidden(g, m):
+        return {m: 1}
+    v = g.edge_map[m.lam[-1]].src
+    lam, nu = m.lam[:-1], m.nu[:-1]
+    out = leavitt_rewrite(g, algebra.Monomial(lam, nu, v))
+    for other in g.out_edges[v][:-1]:
+        m2 = algebra.Monomial(lam + (other,), nu + (other,), g.edge_map[other].dst)
+        out[m2] = out.get(m2, 0) - 1
+    return out
+
+
+def algebra_product(x, y):
+    """The terms {Monomial: FieldElement} of x * y, formed term by term in
+    FieldElement arithmetic."""
+    g, field = x.graph, x.field
+    acc = {}
+    for m1, c1 in x.terms:
+        for m2, c2 in y.terms:
+            raw = algebra.mono_mul(g, m1, m2)
+            if raw is None:
+                continue
+            parts = leavitt_rewrite(g, raw) if x.mode == algebra.LEAVITT else {raw: 1}
+            for m, k in parts.items():
+                acc[m] = acc.get(m, fields.zero(field)) + c1 * c2 * fields.from_int(field, k)
+    return {m: c for m, c in acc.items() if not c.is_zero()}
+
+
+def matrix_product(a, b):
+    """The rows of the dense product a * b, row by column in FieldElement
+    arithmetic."""
+    n = a.n
+    return tuple(
+        tuple(
+            sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), fields.zero(a.field))
+            for j in range(n)
+        )
+        for i in range(n)
+    )

@@ -288,3 +288,16 @@ def test_mode_and_field_mismatch(graphs_by_name, Q, F5):
         algebra.identity(t, Q) * algebra.identity(t, F5)
     with pytest.raises(algebra.AlgebraError):
         algebra.identity(t, Q) * algebra.identity(t, Q, algebra.COHN)
+
+
+def test_deep_leavitt_rewrite_is_iterative(graphs_by_name, Q):
+    # e^1200 (e*)^1200 on the rose with one petal peels to u, far past the
+    # recursion limit of a recursive rewrite
+    g = graphs_by_name["r1"]
+    deep = algebra.Monomial(("e",) * 1200, ("e",) * 1200, "u")
+    x = algebra.element(g, Q, algebra.LEAVITT, {deep: fields.one(Q)})
+    assert x == algebra.identity(g, Q)
+    r2 = graphs_by_name["r2"]
+    deep2 = algebra.Monomial(("e2",) * 1200, ("e2",) * 1200, "u")
+    terms = dict(algebra.element(r2, Q, algebra.LEAVITT, {deep2: fields.one(Q)}).terms)
+    assert len(terms) == 1201 and terms[algebra.Monomial((), (), "u")] == fields.one(Q)

@@ -121,6 +121,11 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
      "--verify-len", "0"),
     ("nf", "--graph", TESTS_DIR, "--expr", "u"),
     ("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^2)", "--expr", "xbar*u"),
+    ("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^2-1)", "--expr",
+     "(xbar - 1)(xbar + 1) u"),
+    ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "1/0"),
+    ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--field", "F5(s,t)",
+     "--alpha", "1/5", "--beta", "t"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)

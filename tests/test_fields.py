@@ -193,6 +193,18 @@ def test_extension_modulus_must_be_squarefree(Q, Qt):
         fields.extension(Qt, [1, 0, 1])
 
 
+def test_extension_modulus_must_have_no_rational_root():
+    for desc, root in (("Q[x]/(x^2-1)", "1"), ("Q[x]/(x^3-8)", "2"),
+                       ("Q[x]/(4*x^2-1)", "1/2"), ("Q[x]/(1/2*x^2-1/8)", "1/2"),
+                       ("Q[x]/(1/2*x^3-1/3*x)", "0")):
+        with pytest.raises(fields.ReducibleModulusError, match=f"root -?{root}$"):
+            fields.parse_descriptor(desc)
+    for desc in ("Q[x]/(x^2+1)", "Q[x]/(x^3-2)", "Q[x]/(2*x-1)", "Q[x]/(x^2-2)"):
+        assert fields.parse_descriptor(desc).kind == "ext"
+    # a constant term past the trial-division budget is trusted, not searched
+    assert fields.parse_descriptor("Q[x]/(x^2-100000000000000000000000000000000)").kind == "ext"
+
+
 def test_is_prime_matches_sympy_and_is_fast():
     import sympy
 
