@@ -71,7 +71,7 @@ def is_forbidden(g, m):
 
 @lru_cache(maxsize=None)
 def _reduce_leavitt(g, m):
-    """Rewrite a raw monomial into basis monomials with integer weights.
+    """Rewrite a raw monomial into basis monomials with weights +1 or -1.
 
     Each trailing forbidden pair peels off in turn: the monomials it
     subtracts end in a non-maximal edge, so they are basis monomials, all of
@@ -91,10 +91,9 @@ def _reduce_leavitt(g, m):
 def _add_reduced(acc, g, field, m, c):
     """Accumulate the payload ``c * m`` into ``acc`` through the Leavitt
     rewrite of m."""
-    add, mul, zero = field.ops
+    add, _, neg, zero = field.ops
     for m2, k in _reduce_leavitt(g, m):
-        term = c if k == 1 else mul(c, fields._int_payload(field, k))
-        fields.add_term(acc, m2, term, add, zero)
+        fields.add_term(acc, m2, c if k == 1 else neg(c), add, zero)
 
 
 def mono_mul(g, m1, m2):
@@ -134,7 +133,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         _compat(self, other)
-        add, _, zero = self.field.ops
+        add, _, _, zero = self.field.ops
         acc = {m: c.payload for m, c in self.terms}
         for m, c in other.terms:
             fields.add_term(acc, m, c.payload, add, zero)
@@ -152,7 +151,7 @@ class AlgebraElement:
     def __mul__(self, other):
         _compat(self, other)
         g, field = self.graph, self.field
-        add, mul, zero = field.ops
+        add, mul, _, zero = field.ops
         acc = {}
         leavitt = self.mode == LEAVITT
         rhs = [(m2, c2.payload) for m2, c2 in other.terms]
@@ -203,7 +202,7 @@ def _assemble(g, field, mode, acc):
 
 def element(g, field, mode, coeffs):
     """Build an element from {Monomial: FieldElement}, validating and reducing."""
-    add, _, zero = field.ops
+    add, _, _, zero = field.ops
     acc = {}
     for m, c in coeffs.items():
         _validate_monomial(g, m)

@@ -15,6 +15,7 @@ compares equal):
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,8 @@ class FieldDescriptor:
 
     @cached_property
     def ops(self):
-        """``(add, mul, zero)`` on raw payloads of this field."""
+        """``(add, mul, neg, zero)`` on raw payloads of this field; the
+        only payload arithmetic for ``+``, ``*`` and ``-``."""
         return _payload_ops(self)
 
 
@@ -61,18 +63,18 @@ class FieldElement:
 
     def __add__(self, other):
         _check(self, other)
-        return FieldElement(self.field, _add(self.field, self.payload, other.payload))
+        return FieldElement(self.field, self.field.ops[0](self.payload, other.payload))
 
     def __sub__(self, other):
         _check(self, other)
         return self + (-other)
 
     def __neg__(self):
-        return FieldElement(self.field, _neg(self.field, self.payload))
+        return FieldElement(self.field, self.field.ops[2](self.payload))
 
     def __mul__(self, other):
         _check(self, other)
-        return FieldElement(self.field, _mul(self.field, self.payload, other.payload))
+        return FieldElement(self.field, self.field.ops[1](self.payload, other.payload))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -232,15 +234,21 @@ def _rational_root(coeffs):
     """A rational root of the Q polynomial with degree-ascending ``coeffs``,
     or None when it has none or the search is over budget.
 
-    With denominators cleared to integers a_0..a_n, a root d/e in lowest
-    terms has d | a_0 and e | a_n.  Past IRREDUCIBILITY_BUDGET trial
-    divisions or candidates the modulus is trusted, as over F_p.
+    With denominators cleared to integers a_0..a_n, a quadratic has a
+    rational root exactly when its discriminant is a square.  From degree 3
+    on, a root d/e in lowest terms has d | a_0 and e | a_n; past
+    IRREDUCIBILITY_BUDGET trial divisions or candidates the modulus is
+    trusted, as over F_p.
     """
     scale = math.lcm(*(c.denominator for c in coeffs))
     a = [int(c * scale) for c in coeffs]
     n = len(a) - 1
     if a[0] == 0:
         return 0
+    if n == 2:
+        disc = a[1] ** 2 - 4 * a[0] * a[2]
+        s = math.isqrt(disc) if disc > 0 else 0
+        return Fraction(s - a[1], 2 * a[2]) if s * s == disc else None
     if math.isqrt(abs(a[0])) + math.isqrt(abs(a[n])) > IRREDUCIBILITY_BUDGET:
         return None
     nums, dens = _divisors(abs(a[0])), _divisors(abs(a[n]))
@@ -317,17 +325,13 @@ def one(field):
 
 
 def from_int(field, n):
-    return FieldElement(field, _int_payload(field, n))
-
-
-def _int_payload(field, n):
     c = polys.cfrom_int(n, field.char)
     if field.kind in ("Q", "Fp"):
-        return c
+        return FieldElement(field, c)
     if field.kind == "fraction":
         num = polys.pconst(c, len(field.variables), field.char)
-        return (polys.pcanon(num), _one_poly_canon(field))
-    return (c,) if c else ()
+        return FieldElement(field, (polys.pcanon(num), _one_poly_canon(field)))
+    return FieldElement(field, (c,) if c else ())
 
 
 def from_fraction(field, fr):
@@ -373,11 +377,11 @@ def _frac_make(field, num, den):
     return (polys.pcanon(num), polys.pcanon(den))
 
 
+# _add, _neg and _mul serve the function fields and extensions through
+# FieldDescriptor.ops; Q and F_p use the closures of _payload_ops
+
 def _add(field, a, b):
-    kind = field.kind
-    if kind in ("Q", "Fp"):
-        return polys.cadd(a, b, field.char)
-    if kind == "fraction":
+    if field.kind == "fraction":
         p = field.char
         an, ad = polys.pfrom_canon(a[0]), polys.pfrom_canon(a[1])
         bn, bd = polys.pfrom_canon(b[0]), polys.pfrom_canon(b[1])
@@ -388,20 +392,14 @@ def _add(field, a, b):
 
 
 def _neg(field, a):
-    kind = field.kind
-    if kind in ("Q", "Fp"):
-        return polys.cneg(a, field.char)
-    if kind == "fraction":
+    if field.kind == "fraction":
         p = field.char
         return (polys.pcanon(polys.pneg(polys.pfrom_canon(a[0]), p)), a[1])
     return _dense(polys.pneg(_upoly(a), field.char), field.char)
 
 
 def _mul(field, a, b):
-    kind = field.kind
-    if kind in ("Q", "Fp"):
-        return polys.cmul(a, b, field.char)
-    if kind == "fraction":
+    if field.kind == "fraction":
         p = field.char
         num = polys.pmul(polys.pfrom_canon(a[0]), polys.pfrom_canon(b[0]), p)
         den = polys.pmul(polys.pfrom_canon(a[1]), polys.pfrom_canon(b[1]), p)
@@ -430,20 +428,13 @@ def _inv(field, a):
 
 
 def _payload_ops(field):
+    zero = _zero_payload(field)
     if field.kind == "Q":
-        def add(a, b):
-            s = a + b
-            return s if type(s) is int else _qnorm(s)
-
-        def mul(a, b):
-            s = a * b
-            return s if type(s) is int else _qnorm(s)
-
-        return add, mul, 0
+        return (lambda a, b: _qnorm(a + b)), (lambda a, b: _qnorm(a * b)), operator.neg, zero
     if field.kind == "Fp":
         p = field.char
-        return (lambda a, b: (a + b) % p), (lambda a, b: a * b % p), 0
-    return partial(_add, field), partial(_mul, field), _zero_payload(field)
+        return (lambda a, b: (a + b) % p), (lambda a, b: a * b % p), (lambda a: -a % p), zero
+    return partial(_add, field), partial(_mul, field), partial(_neg, field), zero
 
 
 # residues of K[x]/(f) are dense payload tuples; polys computes on

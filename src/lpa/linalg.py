@@ -48,7 +48,7 @@ class DenseMatrix:
     def __mul__(self, other):
         _check(self, other)
         field = self.field
-        add, mul, zero = field.ops
+        add, mul, _, zero = field.ops
         cols = tuple(zip(*((b.payload for b in row) for row in other.rows)))
         out = []
         for row in self.rows:

@@ -138,7 +138,7 @@ class ModuleVector:
     def __add__(self, other):
         if self.module != other.module:
             raise ModuleError("vectors live in different modules")
-        add, _, zero = self.module.field.ops
+        add, _, _, zero = self.module.field.ops
         acc = {b: c.payload for b, c in self.terms}
         for b, c in other.terms:
             fields.add_term(acc, b, c.payload, add, zero)
@@ -283,7 +283,7 @@ def act(x, mv):
     if module.twist is not None:
         x = sigma_substitute(module.twist, x)
     g = module.graph
-    add, mul, zero = module.field.ops
+    add, mul, _, zero = module.field.ops
     acc = {}
     vec = [(b, k.payload) for b, k in mv.terms]
     for m, c in x.terms:

@@ -32,7 +32,7 @@ class FinitaryMatrix:
 
     def __add__(self, other):
         _check(self, other)
-        add, _, zero = self.field.ops
+        add, _, _, zero = self.field.ops
         acc = {pos: c.payload for pos, c in self.entries}
         for pos, c in other.entries:
             fields.add_term(acc, pos, c.payload, add, zero)
@@ -43,7 +43,7 @@ class FinitaryMatrix:
 
     def __mul__(self, other):
         _check(self, other)
-        add, mul, zero = self.field.ops
+        add, mul, _, zero = self.field.ops
         cols = {}
         for (i, j), c in other.entries:
             cols.setdefault(i, []).append((j, c.payload))

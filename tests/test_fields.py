@@ -201,8 +201,14 @@ def test_extension_modulus_must_have_no_rational_root():
             fields.parse_descriptor(desc)
     for desc in ("Q[x]/(x^2+1)", "Q[x]/(x^3-2)", "Q[x]/(2*x-1)", "Q[x]/(x^2-2)"):
         assert fields.parse_descriptor(desc).kind == "ext"
-    # a constant term past the trial-division budget is trusted, not searched
-    assert fields.parse_descriptor("Q[x]/(x^2-100000000000000000000000000000000)").kind == "ext"
+    # quadratics are decided by the discriminant at any size
+    big = 10 ** 32
+    with pytest.raises(fields.ReducibleModulusError, match="root 10000000000000000$"):
+        fields.parse_descriptor(f"Q[x]/(x^2-{big})")
+    assert fields.parse_descriptor(f"Q[x]/(x^2-{2 * big})").kind == "ext"
+    # from degree 3 on, a constant term past the trial-division budget is
+    # trusted, not searched (x^3 - 2*10^32 is irreducible)
+    assert fields.parse_descriptor(f"Q[x]/(x^3-{2 * big})").kind == "ext"
 
 
 def test_is_prime_matches_sympy_and_is_fast():

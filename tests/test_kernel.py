@@ -59,8 +59,9 @@ def test_q_payloads_are_int_while_integral(a, b):
         results += [y.inverse(), x / y]
     for r in results:
         assert _canonical_q(r.payload), (a, b, r.payload)
-    add, mul, zero = Q.ops
+    add, mul, neg, zero = Q.ops
     assert _canonical_q(add(x.payload, y.payload)) and _canonical_q(mul(x.payload, y.payload))
+    assert _canonical_q(neg(x.payload)) and _canonical_q(zero)
     pa, pb = polys._qnorm(a), polys._qnorm(b)
     coeffs = [polys.cadd(pa, pb, 0), polys.csub(pa, pb, 0), polys.cneg(pa, 0),
               polys.cmul(pa, pb, 0)]
