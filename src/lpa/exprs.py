@@ -7,7 +7,9 @@
 A ``*`` immediately following an identifier or ``)`` (no whitespace) is the
 ghost/involution postfix; any other ``*`` is multiplication.  Scalars are the
 field literals: integers, ``a/b``, variable names, ``xbar``.  Identifiers are
-resolved against the graph first, then against the field.
+resolved against the graph first, then against the field.  Parentheses nest
+at most ``MAX_NESTING`` deep, so the recursive descent stays far from
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra, fields
+
+
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -83,6 +88,7 @@ class _Parser:
     def __init__(self, tokens, g, field, mode):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.g = g
         self.field = field
         self.mode = mode
@@ -146,8 +152,12 @@ class _Parser:
                 k = fields.from_int(self.field, int(tok.text))
             return algebra.scalar(self.g, self.field, k, self.mode)
         if tok.kind == "LPAREN":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", tok.col)
             value = self.expr()
             self.take("RPAREN")
+            self.depth -= 1
             return self._maybe_star(value)
         if tok.kind == "IDENT":
             return self._maybe_star(self._resolve(tok))

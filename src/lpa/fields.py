@@ -10,6 +10,14 @@ compares equal):
 * K(t1,..,tk) -- reduced pair of polynomial term-tuples, denominator monic
                  under grlex (see :mod:`lpa.polys`)
 * K[x]/(f)    -- tuple of base payloads of degree < deg(f), no trailing zeros
+
+Function-field arithmetic reduces by a polynomial gcd only when it must.  A
+monomial denominator c x^d shares with any numerator only a monomial x^m, m
+the componentwise minimum exponent, so the fraction is reduced by an exponent
+shift and a scale by 1/c; sums and products of fractions with monomial
+denominators (the Laurent polynomials K[t1, 1/t1, ..]) put their numerators
+over x^max(d,e) or x^(d+e) the same way.  Every other denominator takes the
+general gcd path.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ class FieldMismatchError(FieldError):
 
 
 class ReducibleModulusError(FieldError):
-    """A nonzero residue had no inverse: the extension modulus factors."""
+    """The extension modulus factors, found when the field is built or when
+    a nonzero residue has no inverse."""
 
 
 @dataclass(frozen=True)
@@ -187,15 +196,16 @@ def function_field(base, names):
     return FieldDescriptor("fraction", base.char, variables=names, base=base)
 
 
-# Exhaustive irreducibility checking is only affordable over small F_p;
-# anything bigger is trusted and reducibility surfaces later as a
-# non-invertible residue.
+# The rational-root search over Q gives up past this many trial divisions
+# or candidates; such a modulus is trusted, and reducibility surfaces later
+# as a non-invertible residue.  F_p moduli are decided by Rabin's test.
 IRREDUCIBILITY_BUDGET = 10_000
 
 
 def extension(base, coeffs):
     """Simple extension of ``base`` (Q or F_p) by a monic-or-not nonconstant
-    squarefree modulus; over Q one of degree >= 2 must have no rational root.
+    squarefree modulus; over F_p it must be irreducible, and over Q one of
+    degree >= 2 must have no rational root.
 
     ``coeffs`` are base-field elements (or ints), degree-ascending.
     """
@@ -215,12 +225,14 @@ def extension(base, coeffs):
     modulus = tuple(c.payload for c in lifted)
     p = base.char
     f = _upoly(modulus)
-    if p:
-        _check_irreducible_fp(p, f)
     df = {(i - 1,): polys.cmul(c, polys.cfrom_int(i, p), p) for (i,), c in f.items() if i}
     df = {e: c for e, c in df.items() if c}
     if polys.uegcd(f, df, p)[0] != {(0,): polys.cone(p)}:
-        raise FieldError(f"extension modulus {_upoly_str(base, modulus, 'x')} is not squarefree")
+        raise ReducibleModulusError(
+            f"extension modulus {_upoly_str(base, modulus, 'x')} is not squarefree"
+        )
+    if p:
+        _check_irreducible_fp(p, f)
     if not p and len(modulus) > 2:
         root = _rational_root(modulus)
         if root is not None:
@@ -238,7 +250,7 @@ def _rational_root(coeffs):
     rational root exactly when its discriminant is a square.  From degree 3
     on, a root d/e in lowest terms has d | a_0 and e | a_n; past
     IRREDUCIBILITY_BUDGET trial divisions or candidates the modulus is
-    trusted, as over F_p.
+    trusted.
     """
     scale = math.lcm(*(c.denominator for c in coeffs))
     a = [int(c * scale) for c in coeffs]
@@ -269,24 +281,56 @@ def _divisors(n):
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _check_irreducible_fp(p, poly):
-    deg = max(poly)[0]
-    candidates = sum(p ** d for d in range(1, deg // 2 + 1))
-    if candidates > IRREDUCIBILITY_BUDGET:
-        return
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            cand = {(d,): 1}
-            rest = code
-            for i in range(d):
-                c = rest % p
-                rest //= p
-                if c:
-                    cand[(i,)] = c
-            if not polys.urem(poly, cand, p):
-                raise ReducibleModulusError(
-                    f"modulus factors over F_{p}: divisible by {polys.pstr(cand, ('x',))}"
-                )
+def _check_irreducible_fp(p, f):
+    """Rabin's test (Rabin 1980): a squarefree f of degree n over F_p is
+    irreducible exactly when x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1
+    for every prime q dividing n."""
+    n = max(f)[0]
+    x = polys.urem({(1,): 1}, f, p)
+    # g -> g^p mod f is F_p-linear, (sum c_i x^i)^p = sum c_i (x^p)^i, so one
+    # table of (x^p)^i mod f, i < n, gives every further power of Frobenius
+    xp = _powmod(x, p, f, p)
+    frob = [{(0,): 1}]
+    for _ in range(1, n):
+        frob.append(polys.urem(polys.pmul(frob[-1], xp, p), f, p))
+    checkpoints = {n // q for q in _prime_factors(n)}
+    h = x
+    for k in range(1, n + 1):
+        out = {}
+        for (i,), c in h.items():
+            out = polys.padd(out, polys.pscale(frob[i], c, p), p)
+        h = out
+        if k in checkpoints and polys.uegcd(polys.psub(h, x, p), f, p)[0] != {(0,): 1}:
+            raise ReducibleModulusError(
+                f"modulus {polys.pstr(f, ('x',))} factors over F_{p}: "
+                f"it has a factor of degree dividing {k}"
+            )
+    if h != x:
+        raise ReducibleModulusError(f"modulus {polys.pstr(f, ('x',))} factors over F_{p}")
+
+
+def _powmod(a, e, f, p):
+    """a^e mod f over F_p by square-and-multiply."""
+    out = {(0,): 1}
+    while e:
+        if e & 1:
+            out = polys.urem(polys.pmul(out, a, p), f, p)
+        e >>= 1
+        if e:
+            a = polys.urem(polys.pmul(a, a, p), f, p)
+    return out
+
+
+def _prime_factors(n):
+    out, q = set(), 2
+    while q * q <= n:
+        while n % q == 0:
+            out.add(q)
+            n //= q
+        q += 1
+    if n > 1:
+        out.add(n)
+    return out
 
 
 def characteristic(field):
@@ -364,6 +408,17 @@ def _frac_make(field, num, den):
         return _zero_payload(field)
     if not den:
         raise ZeroDivisionError("zero denominator in function field")
+    if len(den) == 1:
+        # den = c x^d: gcd(num, den) is x^m, m the componentwise minimum of d
+        # and every numerator exponent, so shift and scale instead of pgcd
+        ((d, c),) = den.items()
+        m = tuple(map(min, d, *num))
+        if any(m):
+            num = {_shift(e, m): v for e, v in num.items()}
+            d = _shift(d, m)
+        if c != polys.cone(p):
+            num = polys.pscale(num, polys.cinv(c, p), p)
+        return (polys.pcanon(num), ((d, polys.cone(p)),))
     g = polys.pgcd(num, den, p)
     ge, gc = polys.plead(g)
     if any(ge) or gc != polys.cone(p) or len(g) > 1:
@@ -377,12 +432,31 @@ def _frac_make(field, num, den):
     return (polys.pcanon(num), polys.pcanon(den))
 
 
+def _shift(e, m):
+    """The exponent of x^e / x^m."""
+    return tuple(map(operator.sub, e, m))
+
+
+def _over(num, top, d):
+    """The canonical numerator ``num`` of ``num / x^d`` put over ``x^top``."""
+    if top == d:
+        return polys.pfrom_canon(num)
+    up = _shift(top, d)
+    return {tuple(map(operator.add, e, up)): c for e, c in num}
+
+
 # _add, _neg and _mul serve the function fields and extensions through
 # FieldDescriptor.ops; Q and F_p use the closures of _payload_ops
 
 def _add(field, a, b):
     if field.kind == "fraction":
         p = field.char
+        if len(a[1]) == 1 == len(b[1]):
+            # canonical denominators are monic, so these are x^d and x^e
+            d, e = a[1][0][0], b[1][0][0]
+            top = tuple(map(max, d, e))
+            num = polys.padd(_over(a[0], top, d), _over(b[0], top, e), p)
+            return _frac_make(field, num, {top: polys.cone(p)})
         an, ad = polys.pfrom_canon(a[0]), polys.pfrom_canon(a[1])
         bn, bd = polys.pfrom_canon(b[0]), polys.pfrom_canon(b[1])
         num = polys.padd(polys.pmul(an, bd, p), polys.pmul(bn, ad, p), p)
@@ -402,7 +476,11 @@ def _mul(field, a, b):
     if field.kind == "fraction":
         p = field.char
         num = polys.pmul(polys.pfrom_canon(a[0]), polys.pfrom_canon(b[0]), p)
-        den = polys.pmul(polys.pfrom_canon(a[1]), polys.pfrom_canon(b[1]), p)
+        if len(a[1]) == 1 == len(b[1]):
+            # monic monomial denominators x^d and x^e multiply to x^(d+e)
+            den = {tuple(map(operator.add, a[1][0][0], b[1][0][0])): polys.cone(p)}
+        else:
+            den = polys.pmul(polys.pfrom_canon(a[1]), polys.pfrom_canon(b[1]), p)
         return _frac_make(field, num, den)
     p = field.char
     prod = polys.pmul(_upoly(a), _upoly(b), p)

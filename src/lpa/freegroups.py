@@ -334,7 +334,7 @@ def element_image(pair, x):
     """The witness's matrix-corner image of an algebra element."""
     g, field, witness = pair.graph, pair.field, pair.witness
     if isinstance(witness, LineGraph):
-        return line_graph_iso(len(g.vertices), field).image(x)
+        return LineGraphIso(g, field).image(x)
     if isinstance(witness, SinkEdge):
         return _sink_corner(g, field, witness.edge, x)
     if isinstance(witness, RationalPathEdge):

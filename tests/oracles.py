@@ -4,15 +4,16 @@ Everything here recomputes results from first principles, staying away from
 the code paths under test: a free-word rewriter applying relations in random
 order, transitive-closure reachability, subset-enumeration closure,
 closed-walk cycle enumeration, multiplication matrices of simple field
-extensions, and term-by-term and row-by-column products in ``FieldElement``
-arithmetic for the payload kernels of the algebra and matrix products.
+extensions, term-by-term and row-by-column products in ``FieldElement``
+arithmetic for the payload kernels of the algebra and matrix products, and
+function-field fractions reduced by the general gcd for every denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lpa import algebra, fields, graphs
+from lpa import algebra, fields, graphs, polys
 
 # symbols: ("v", name) | ("e", name) | ("g", name)  (g = ghost edge)
 
@@ -286,3 +287,33 @@ def matrix_product(a, b):
         )
         for i in range(n)
     )
+
+
+# -- function-field fractions --------------------------------------------------
+
+
+def frac_reduce(p, num, den):
+    """The canonical payload of num/den in a function field of characteristic
+    p: divide both by their gcd, whatever den is, and make den monic."""
+    if not num:
+        return ((), (((0,) * len(next(iter(den))), 1),))
+    g = polys.pgcd(num, den, p)
+    num, den = polys.pdivexact(num, g, p), polys.pdivexact(den, g, p)
+    inv = polys.cinv(polys.plead(den)[1], p)
+    return polys.pcanon(polys.pscale(num, inv, p)), polys.pcanon(polys.pscale(den, inv, p))
+
+
+def frac_add(p, a, b):
+    (an, ad), (bn, bd) = (tuple(map(dict, x)) for x in (a, b))
+    return frac_reduce(
+        p, polys.padd(polys.pmul(an, bd, p), polys.pmul(bn, ad, p), p), polys.pmul(ad, bd, p)
+    )
+
+
+def frac_mul(p, a, b):
+    (an, ad), (bn, bd) = (tuple(map(dict, x)) for x in (a, b))
+    return frac_reduce(p, polys.pmul(an, bn, p), polys.pmul(ad, bd, p))
+
+
+def frac_inv(p, a):
+    return frac_reduce(p, dict(a[1]), dict(a[0]))

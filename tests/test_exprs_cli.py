@@ -126,6 +126,8 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
     ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "1/0"),
     ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--field", "F5(s,t)",
      "--alpha", "1/5", "--beta", "t"),
+    ("nf", "--graph", "toeplitz", "--expr", "(" * 3000 + "u" + ")" * 3000),
+    ("nf", "--graph", "toeplitz", "--field", "F5[x]/(x^12+x+2)", "--expr", "xbar u"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
@@ -301,3 +303,27 @@ def test_cli_act_chen_twist_free():
     out2 = run_cli("act", "--graph", "ex62", "--module", "chen-cycle:e",
                    "--expr", "g*", "--vector", "g.@e")
     assert out2.stdout.splitlines()[0] == "@e"
+
+
+def test_expr_nesting_bound(graphs_by_name, Q):
+    t = graphs_by_name["toeplitz"]
+    depth = exprs.MAX_NESTING
+    expected = gens(t, Q)["f*" if depth % 2 else "f"]
+    assert parse("(" * depth + "f" + ")*" * depth, t, Q) == expected
+    with pytest.raises(exprs.ExprError, match="nested deeper"):
+        parse("(" * (depth + 1) + "f" + ")" * (depth + 1), t, Q)
+
+
+@pytest.mark.parametrize("text", [
+    "graph renamed\nvertex p\nvertex q\nvertex r\nedge x p q\nedge y q r\n",
+    "graph against\nvertex v1\nvertex v2\nvertex v3\nedge e1 v3 v2\nedge e2 v2 v1\n",
+])
+def test_cli_line_witness_on_user_line_graph(tmp_path, text):
+    gfile = tmp_path / "line.lpa"
+    gfile.write_text(text)
+    for witness in ("line:1:2", "line:1:3", "line:2:3"):
+        out = run_cli("free-gens", "--graph", str(gfile), "--witness", witness,
+                      "--alpha", "2", "--verify-len", "3", "--json")
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout)["result"]
+        assert result["all_nontrivial"] and result["matrix_crosscheck"], result

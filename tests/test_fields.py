@@ -185,8 +185,7 @@ def test_extension_modulus_must_be_squarefree(Q, Qt):
     for desc in ("Q[x]/(x^2)", "Q[x]/(x^4+2*x^2+1)", "F7[x]/(x^2)", "F101[x]/(x^4+2*x^2+1)"):
         with pytest.raises(fields.FieldError):
             fields.parse_descriptor(desc)
-    # the degree-4 F_101 modulus is above the exhaustive-irreducibility budget,
-    # so only the squarefree check stands between it and a "field"
+    # the squarefree check comes before Rabin's irreducibility test
     with pytest.raises(fields.FieldError, match="squarefree"):
         fields.parse_descriptor("F101[x]/(x^4+2*x^2+1)")
     with pytest.raises(fields.FieldError):
@@ -270,3 +269,31 @@ def test_extension_arithmetic_matches_matrix_oracle(desc, p, modulus):
         assert matrix(coords(x * y)) == oracles.mat_mul(matrix(a), matrix(b), p)
         if any(a):
             assert oracles.mat_mul(matrix(a), matrix(coords(x.inverse())), p) == identity
+
+
+def test_fp_moduli_decided_by_rabin_match_sympy():
+    import sympy
+
+    x = sympy.symbols("x")
+    rng = random.Random(11)
+    for p in (2, 3, 5, 7):
+        F = fields.prime_field(p)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            coeffs = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+            irreducible = sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+            try:
+                fields.extension(F, coeffs)
+                accepted = True
+            except fields.ReducibleModulusError:
+                accepted = False
+            assert accepted == irreducible, (p, coeffs)
+
+
+def test_fp_modulus_of_high_degree_is_checked():
+    # x = 2 is a root of x^12 + x + 2 mod 5
+    with pytest.raises(fields.ReducibleModulusError, match="degree dividing"):
+        fields.parse_descriptor("F5[x]/(x^12+x+2)")
+    # irreducible moduli of degree 12 over F5 and 127 over F2 are accepted
+    assert fields.parse_descriptor("F5[x]/(x^12+x+4)").kind == "ext"
+    assert fields.parse_descriptor("F2[x]/(x^127+x+1)").kind == "ext"

@@ -102,3 +102,79 @@ def test_mixed_field_algebra_coefficient_raises(Q):
         algebra.element(g, Q, algebra.LEAVITT, {u: fields.one(F7)})
     with pytest.raises(algebra.AlgebraError):
         algebra.identity(g, Q).scale(fields.one(F7))
+
+
+# -- function-field payloads: the monomial-denominator path against the gcd ----
+
+FRACTION_FIELDS = ["F5(s,t)", "F7(t)", "Q(t)", "Q(s,t)"]
+
+
+def _poly_st(K, min_size=0, max_size=4):
+    p = K.char
+    coeff = (st.integers(1, p - 1) if p else
+             st.fractions(-5, 5, max_denominator=4).filter(bool).map(polys._qnorm))
+    exps = st.tuples(*[st.integers(0, 3)] * len(K.variables))
+    return st.dictionaries(exps, coeff, min_size=min_size, max_size=max_size)
+
+
+def _den_st(K):
+    """Monomial denominators, monic or not, and general ones."""
+    return st.one_of(_poly_st(K, 1, 1), _poly_st(K, 1, 4))
+
+
+def _sympy_poly(K, poly):
+    import sympy
+
+    gens = sympy.symbols(K.variables)
+    domain = sympy.GF(K.char) if K.char else sympy.QQ
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in poly.items()}
+    return sympy.Poly.from_dict(terms or {(0,) * len(gens): 0}, gens, domain=domain)
+
+
+def _agrees_with_sympy(K, num, den, payload):
+    """payload is num/den in lowest terms, by sympy's cancel and gcd."""
+    import sympy
+
+    n, d = (_sympy_poly(K, dict(t)) for t in payload)
+    cn, cd = _sympy_poly(K, num).cancel(_sympy_poly(K, den), include=True)
+    assert n * cd == cn * d
+    assert sympy.gcd(n, d).total_degree() == 0 and payload[1][0][1] == 1
+
+
+def _check_fraction_ops(K, num, den, other):
+    p = K.char
+    a = fields._frac_make(K, dict(num), dict(den))
+    assert a == oracles.frac_reduce(p, num, den), (num, den)
+    _agrees_with_sympy(K, num, den, a)
+    b = oracles.frac_reduce(p, *other)
+    assert fields._add(K, a, b) == oracles.frac_add(p, a, b), (a, b)
+    assert fields._mul(K, a, b) == oracles.frac_mul(p, a, b), (a, b)
+    if a[0]:
+        assert fields._inv(K, a) == oracles.frac_inv(p, a), a
+
+
+@pytest.mark.parametrize("desc", FRACTION_FIELDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fraction_ops_match_gcd_oracle(desc, data):
+    K = fields.parse_descriptor(desc)
+    num, den = data.draw(_poly_st(K)), data.draw(_den_st(K))
+    other = data.draw(_poly_st(K)), data.draw(_den_st(K))
+    _check_fraction_ops(K, num, den, other)
+
+
+def test_fraction_ops_named_cases():
+    F5st, Qt = fields.parse_descriptor("F5(s,t)"), fields.parse_descriptor("Q(t)")
+    s3t_2s2t2 = {(3, 1): 1, (2, 2): 2}
+    cases = [
+        (F5st, s3t_2s2t2, {(2, 1): 3}, ({(0, 1): 1}, {(1, 0): 1})),       # / 3 s^2 t
+        (F5st, {}, {(2, 1): 3}, (s3t_2s2t2, {(1, 0): 1, (0, 1): 4})),     # zero / 3 s^2 t
+        (F5st, {(1, 0): 2, (0, 0): 1}, {(1, 1): 4}, ({}, {(0, 0): 1})),   # (2s + 1) / 4 s t
+        (Qt, {(2,): Fraction(1, 2)}, {(1,): -3}, ({(1,): 1, (0,): 1}, {(2,): 2})),
+        (Qt, {(2,): 1, (0,): -1}, {(1,): 1, (0,): -1}, ({(0,): 1}, {(0,): Fraction(2, 3)})),
+    ]
+    for K, num, den, other in cases:
+        _check_fraction_ops(K, num, den, other)
+    # (s^3 t + 2 s^2 t^2) / (3 s^2 t) = (s + 2t) / 3 = 2s + 4t over F5
+    payload = fields._frac_make(F5st, s3t_2s2t2, {(2, 1): 3})
+    assert payload == ((((1, 0), 2), ((0, 1), 4)), (((0, 0), 1),))
