@@ -116,40 +116,24 @@ def mono_mul(g, m1, m2):
 
 
 @dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(fields.Combination):
     graph: graphs.Graph
     field: fields.FieldDescriptor
     mode: str
     terms: tuple    # ((Monomial, FieldElement), ...) sorted by Monomial.sort_key
 
-    def coeff(self, m):
-        for mono, c in self.terms:
-            if mono == m:
-                return c
-        return fields.zero(self.field)
+    error = AlgebraError
 
-    def is_zero(self):
-        return not self.terms
+    def _check(self, other):
+        if (not isinstance(other, AlgebraElement) or self.graph != other.graph
+                or self.field != other.field or self.mode != other.mode):
+            raise AlgebraError("elements live over different graphs, fields, or modes")
 
-    def __add__(self, other):
-        _compat(self, other)
-        add, _, _, zero = self.field.ops
-        acc = {m: c.payload for m, c in self.terms}
-        for m, c in other.terms:
-            fields.add_term(acc, m, c.payload, add, zero)
+    def _make(self, acc):
         return _assemble(self.graph, self.field, self.mode, acc)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(
-            self.graph, self.field, self.mode,
-            tuple((m, -c) for m, c in self.terms),
-        )
-
     def __mul__(self, other):
-        _compat(self, other)
+        self._check(other)
         g, field = self.graph, self.field
         add, mul, _, zero = field.ops
         acc = {}
@@ -167,26 +151,11 @@ class AlgebraElement:
                     fields.add_term(acc, raw, mul(c1, c2), add, zero)
         return _assemble(g, field, self.mode, acc)
 
-    def scale(self, k):
-        if not isinstance(k, fields.FieldElement) or k.field != self.field:
-            raise AlgebraError("scalar lies in the wrong field")
-        if k.is_zero():
-            return zero(self.graph, self.field, self.mode)
-        return AlgebraElement(
-            self.graph, self.field, self.mode,
-            tuple((m, c * k) for m, c in self.terms),
-        )
-
     def __str__(self):
         return render(self)
 
     def __repr__(self):
         return f"<{render(self)} over {self.graph.name}/{self.field}/{self.mode}>"
-
-
-def _compat(a, b):
-    if a.graph != b.graph or a.field != b.field or a.mode != b.mode:
-        raise AlgebraError("elements live over different graphs, fields, or modes")
 
 
 def _assemble(g, field, mode, acc):
@@ -268,13 +237,10 @@ def star(x):
 def homogeneous_components(x):
     """Split by degree |lam| - |nu|."""
     comps = {}
-    for m, c in x.terms:
-        comps.setdefault(m.degree(), {})[m] = c
-    return {
-        d: AlgebraElement(x.graph, x.field, x.mode,
-                          tuple(sorted(acc.items(), key=lambda t: t[0].sort_key())))
-        for d, acc in sorted(comps.items())
-    }
+    for term in x.terms:    # sorted, and so is every component's share
+        comps.setdefault(term[0].degree(), []).append(term)
+    return {d: AlgebraElement(x.graph, x.field, x.mode, tuple(ts))
+            for d, ts in sorted(comps.items())}
 
 
 def cohn_to_leavitt(x):
@@ -285,9 +251,25 @@ def cohn_to_leavitt(x):
 
 
 def verify_inverse(x, y):
-    _compat(x, y)
+    x._check(y)
     e = identity(x.graph, x.field, x.mode)
     return x * y == e and y * x == e
+
+
+def substitute(x, vertex_images, edge_images, ghost_images, out):
+    """The image of x under the homomorphism given on generators: each
+    monomial lam nu* maps to the product of the edge images along lam, the
+    vertex image of its range and the ghost images along nu*, scaled by its
+    coefficient and added to ``out``, a zero of the target."""
+    for m, c in x.terms:
+        img = vertex_images[m.vertex]
+        for e in reversed(m.lam):
+            img = edge_images[e] * img
+        # nu* = (f1 ... fl)* multiplies the ghost images in reversed order
+        for e in reversed(m.nu):
+            img = img * ghost_images[e]
+        out = out + img.scale(c)
+    return out
 
 
 def evaluate_word(letters, inverses=None):

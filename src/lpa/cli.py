@@ -377,14 +377,10 @@ def _parse_vector(module, raw):
             b = reps.canonicalize_rational(g, prefix, cycle, 0)
         else:
             comps = tuple(p for p in path_raw.split(".") if p)
-            if module.kind == "sink":
-                path = () if comps == (module.vertex,) else comps
-                b = reps.SinkPath(path, module.vertex)
-            elif module.kind == "emitter":
-                path = () if comps == (module.vertex,) else comps
-                b = reps.EmitterPath(path, module.vertex)
-            else:
+            if module.kind == "chen":
                 raise CliInputError("chen-module vectors need an @cycle tail")
+            path = () if comps == (module.vertex,) else comps
+            b = (reps.SinkPath if module.kind == "sink" else reps.EmitterPath)(path, module.vertex)
         out = out + reps.basis_vector(module, b).scale(coef)
     return out
 
@@ -403,11 +399,9 @@ def _run_toeplitz(args, ctx):
     g = toeplitz.toeplitz_graph()
     x = exprs.parse_expr(args.expr, g, field, algebra.LEAVITT)
     mat = toeplitz.toeplitz_embed(x, args.size)
-    triples = [
-        [i, j, fields.element_str(c)] for (i, j), c in mat.entries
-    ]
+    triples = [[i, j, fields.element_str(c)] for (i, j), c in mat.terms]
     result = {"size": args.size, "entries": triples}
-    lines = [str(mat) if mat.entries else "0"]
+    lines = [str(mat)]
     if args.det:
         det = linalg.det_gauss(
             linalg.identity_matrix(field, args.size) + mat.dense(args.size)

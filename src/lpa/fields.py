@@ -47,6 +47,11 @@ class ReducibleModulusError(FieldError):
     a nonzero residue has no inverse."""
 
 
+class UncertifiedModulusError(FieldError):
+    """A Q modulus that is not proved irreducible: it may be irreducible, but
+    no prime below CERTIFICATE_BOUND certifies it."""
+
+
 @dataclass(frozen=True)
 class FieldDescriptor:
     kind: str                       # "Q" | "Fp" | "fraction" | "ext"
@@ -138,6 +143,50 @@ def add_term(acc, key, c, add, zero):
         acc[key] = c
 
 
+class Combination:
+    """A finite linear combination over ``field``: ``terms`` is a sorted tuple
+    of ``(key, FieldElement)`` with no zero coefficient.
+
+    The linear structure runs on raw payloads through ``field.ops``.  A
+    subclass supplies ``field``, its domain ``error`` class, ``_check(other)``,
+    which raises that error unless ``other`` lies in the same space, and
+    ``_make(acc)``, the element of a sparse payload dict.
+    """
+
+    def is_zero(self):
+        return not self.terms
+
+    def coeff(self, key):
+        for k, c in self.terms:
+            if k == key:
+                return c
+        return zero(self.field)
+
+    def __add__(self, other):
+        self._check(other)
+        add, _, _, z = self.field.ops
+        acc = {k: c.payload for k, c in self.terms}
+        for k, c in other.terms:
+            add_term(acc, k, c.payload, add, z)
+        return self._make(acc)
+
+    def __neg__(self):
+        neg = self.field.ops[2]
+        return self._make({k: neg(c.payload) for k, c in self.terms})
+
+    def __sub__(self, other):
+        self._check(other)
+        return self + (-other)
+
+    def scale(self, k):
+        if not isinstance(k, FieldElement) or k.field != self.field:
+            raise self.error("scalar lies in the wrong field")
+        if k.is_zero():
+            return self._make({})
+        mul = self.field.ops[1]
+        return self._make({key: mul(c.payload, k.payload) for key, c in self.terms})
+
+
 # -- descriptors ---------------------------------------------------------
 
 def rationals():
@@ -196,16 +245,18 @@ def function_field(base, names):
     return FieldDescriptor("fraction", base.char, variables=names, base=base)
 
 
-# The rational-root search over Q gives up past this many trial divisions
-# or candidates; such a modulus is trusted, and reducibility surfaces later
-# as a non-invertible residue.  F_p moduli are decided by Rabin's test.
+# The rational-root search over Q gives up past this many trial divisions or
+# candidates; a cubic with no rational root found within it, and any modulus
+# of degree >= 4, needs a certificate prime below CERTIFICATE_BOUND.
 IRREDUCIBILITY_BUDGET = 10_000
+CERTIFICATE_BOUND = 1000
 
 
 def extension(base, coeffs):
     """Simple extension of ``base`` (Q or F_p) by a monic-or-not nonconstant
-    squarefree modulus; over F_p it must be irreducible, and over Q one of
-    degree >= 2 must have no rational root.
+    squarefree modulus, proved irreducible: by Rabin's test over F_p; over Q
+    by the absence of a rational root in degree 2 and 3, and otherwise by a
+    certificate prime.
 
     ``coeffs`` are base-field elements (or ints), degree-ascending.
     """
@@ -225,55 +276,95 @@ def extension(base, coeffs):
     modulus = tuple(c.payload for c in lifted)
     p = base.char
     f = _upoly(modulus)
-    df = {(i - 1,): polys.cmul(c, polys.cfrom_int(i, p), p) for (i,), c in f.items() if i}
-    df = {e: c for e, c in df.items() if c}
-    if polys.uegcd(f, df, p)[0] != {(0,): polys.cone(p)}:
+    if not _squarefree(f, p):
         raise ReducibleModulusError(
             f"extension modulus {_upoly_str(base, modulus, 'x')} is not squarefree"
         )
     if p:
-        _check_irreducible_fp(p, f)
-    if not p and len(modulus) > 2:
-        root = _rational_root(modulus)
-        if root is not None:
+        reason = _check_irreducible_fp(p, f)
+        if reason is not None:
             raise ReducibleModulusError(
-                f"modulus {_upoly_str(base, modulus, 'x')} factors over Q: it has the root {root}"
+                f"modulus {polys.pstr(f, ('x',))} factors over F_{p}: {reason}"
             )
+    elif len(modulus) > 2:
+        _check_irreducible_q(base, modulus)
     return FieldDescriptor("ext", p, base=base, modulus=modulus)
 
 
-def _rational_root(coeffs):
-    """A rational root of the Q polynomial with degree-ascending ``coeffs``,
-    or None when it has none or the search is over budget.
+def _squarefree(f, p):
+    """gcd(f, f') = 1 for a one-variable polynomial dict f over Q or F_p."""
+    df = {(i - 1,): polys.cmul(c, polys.cfrom_int(i, p), p) for (i,), c in f.items() if i}
+    df = {e: c for e, c in df.items() if c}
+    return polys.uegcd(f, df, p)[0] == {(0,): polys.cone(p)}
 
-    With denominators cleared to integers a_0..a_n, a quadratic has a
-    rational root exactly when its discriminant is a square.  From degree 3
-    on, a root d/e in lowest terms has d | a_0 and e | a_n; past
-    IRREDUCIBILITY_BUDGET trial divisions or candidates the modulus is
-    trusted.
+
+def _check_irreducible_q(base, modulus):
+    """Refuse a Q modulus of degree >= 2 with a rational root, or one that is
+    not proved irreducible.
+
+    With denominators cleared to integers a_0..a_n, a quadratic or cubic
+    without a rational root is irreducible.  Otherwise the proof is a prime
+    p < CERTIFICATE_BOUND with p not dividing a_n, modulo which f is
+    squarefree and irreducible: a factorization over Q reduces modulo such a
+    p to one with factors of the same degrees (Gauss's lemma).  Some
+    irreducible moduli have no such prime, x^4 + 1 among them, since it
+    splits modulo every prime; they are refused.
     """
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    a = [int(c * scale) for c in coeffs]
+    name = _upoly_str(base, modulus, "x")
+    scale = math.lcm(*(c.denominator for c in modulus))
+    a = [int(c * scale) for c in modulus]
+    root, searched = _rational_root(a)
+    if root is not None:
+        raise ReducibleModulusError(f"modulus {name} factors over Q: it has the root {root}")
+    if len(a) == 3 or (len(a) == 4 and searched) or _certificate_prime(a):
+        return
+    raise UncertifiedModulusError(
+        f"modulus {name} is not proved irreducible over Q: it is irreducible "
+        f"modulo no prime p < {CERTIFICATE_BOUND} that leaves it squarefree"
+    )
+
+
+def _certificate_prime(a):
+    """The least prime p < CERTIFICATE_BOUND, not dividing a_n, modulo which
+    the integer polynomial a_0..a_n is squarefree and irreducible, or None."""
+    for p in range(2, CERTIFICATE_BOUND):
+        if a[-1] % p == 0 or not _is_prime(p):
+            continue
+        f = {(i,): c % p for i, c in enumerate(a) if c % p}
+        if _squarefree(f, p) and _check_irreducible_fp(p, f) is None:
+            return p
+    return None
+
+
+def _rational_root(a):
+    """``(root, searched)`` for the integer polynomial a_0..a_n: a rational
+    root or None, and whether None proves there is none.
+
+    A quadratic has a rational root exactly when its discriminant is a
+    square.  From degree 3 on, a root d/e in lowest terms has d | a_0 and
+    e | a_n; past IRREDUCIBILITY_BUDGET trial divisions or candidates the
+    search gives up.
+    """
     n = len(a) - 1
     if a[0] == 0:
-        return 0
+        return 0, True
     if n == 2:
         disc = a[1] ** 2 - 4 * a[0] * a[2]
         s = math.isqrt(disc) if disc > 0 else 0
-        return Fraction(s - a[1], 2 * a[2]) if s * s == disc else None
+        return (Fraction(s - a[1], 2 * a[2]) if s * s == disc else None), True
     if math.isqrt(abs(a[0])) + math.isqrt(abs(a[n])) > IRREDUCIBILITY_BUDGET:
-        return None
+        return None, False
     nums, dens = _divisors(abs(a[0])), _divisors(abs(a[n]))
     if 2 * len(nums) * len(dens) > IRREDUCIBILITY_BUDGET:
-        return None
+        return None, False
     for d in nums:
         for e in dens:
             if math.gcd(d, e) != 1:
                 continue
             for r in (d, -d):
                 if not sum(c * r ** i * e ** (n - i) for i, c in enumerate(a)):
-                    return Fraction(r, e)
-    return None
+                    return Fraction(r, e), True
+    return None, True
 
 
 def _divisors(n):
@@ -284,7 +375,8 @@ def _divisors(n):
 def _check_irreducible_fp(p, f):
     """Rabin's test (Rabin 1980): a squarefree f of degree n over F_p is
     irreducible exactly when x^(p^n) = x mod f and gcd(x^(p^(n/q)) - x, f) = 1
-    for every prime q dividing n."""
+    for every prime q dividing n.  None when f is irreducible, otherwise the
+    reason it is not."""
     n = max(f)[0]
     x = polys.urem({(1,): 1}, f, p)
     # g -> g^p mod f is F_p-linear, (sum c_i x^i)^p = sum c_i (x^p)^i, so one
@@ -301,12 +393,8 @@ def _check_irreducible_fp(p, f):
             out = polys.padd(out, polys.pscale(frob[i], c, p), p)
         h = out
         if k in checkpoints and polys.uegcd(polys.psub(h, x, p), f, p)[0] != {(0,): 1}:
-            raise ReducibleModulusError(
-                f"modulus {polys.pstr(f, ('x',))} factors over F_{p}: "
-                f"it has a factor of degree dividing {k}"
-            )
-    if h != x:
-        raise ReducibleModulusError(f"modulus {polys.pstr(f, ('x',))} factors over F_{p}")
+            return f"it has a factor of degree dividing {k}"
+    return None if h == x else f"it has a factor of degree not dividing {n}"
 
 
 def _powmod(a, e, f, p):

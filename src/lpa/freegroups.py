@@ -92,17 +92,19 @@ def validate_witness(g, witness):
         if g.source(f) == g.range(f):
             raise WitnessError("the entering edge must satisfy s(f) != r(f)")
     elif isinstance(witness, LineGraph):
-        n = _line_length(g)
-        if n is None:
+        line = _line_order(g)
+        if line is None:
             raise WitnessError("graph is not an oriented line")
+        n = len(line[0])
         if not (1 <= witness.i < witness.j <= n):
             raise WitnessError(f"need 1 <= i < j <= {n}")
     else:
         raise WitnessError(f"unknown witness {witness!r}")
 
 
-def _line_length(g):
-    """n when the graph is v1 -> v2 -> ... -> vn (in some vertex order)."""
+def _line_order(g):
+    """``(chain, edges)`` when the graph is v1 -> v2 -> ... -> vn, n >= 2 (in
+    some vertex order), else None."""
     if g.bundles or len(g.edges) != len(g.vertices) - 1 or len(g.vertices) < 2:
         return None
     indeg = {v: 0 for v in g.vertices}
@@ -111,30 +113,15 @@ def _line_length(g):
     sources = [v for v in g.vertices if indeg[v] == 0]
     if len(sources) != 1:
         return None
-    chain = [sources[0]]
-    while True:
+    chain, edges = [sources[0]], []
+    while g.out_edges[chain[-1]]:
         out = g.out_edges[chain[-1]]
-        if not out:
-            break
         if len(out) != 1:
             return None
+        edges.append(out[0])
         chain.append(g.range(out[0]))
     if len(chain) != len(g.vertices) or len(set(chain)) != len(chain):
         return None
-    return len(chain)
-
-
-def _line_order(g):
-    indeg = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        indeg[e.dst] += 1
-    start = next(v for v in g.vertices if indeg[v] == 0)
-    chain = [start]
-    edges = []
-    while g.out_edges[chain[-1]]:
-        e = g.out_edges[chain[-1]][0]
-        edges.append(e)
-        chain.append(g.range(e))
     return chain, edges
 
 
@@ -377,15 +364,6 @@ class FreenessReport:
     matrix_crosscheck: bool
     failures: tuple
 
-    def as_dict(self):
-        return {
-            "max_length": self.max_length,
-            "words_checked": self.words_checked,
-            "all_nontrivial": self.all_nontrivial,
-            "matrix_crosscheck": self.matrix_crosscheck,
-            "failures": list(self.failures),
-        }
-
 
 def expected_word_count(L):
     return sum(4 * 3 ** (k - 1) for k in range(1, L + 1))
@@ -469,8 +447,9 @@ def find_witness(g, spec=None, preferred=None):
             for e in g.edges:
                 if e.dst == u and e.src != u:
                     out.append(RationalPathEdge(e.name, tail))
-    n = _line_length(g)
-    if n is not None:
+    line = _line_order(g)
+    if line is not None:
+        n = len(line[0])
         out += [LineGraph(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     if preferred is not None:
         ranked = [w for w in out if isinstance(w, preferred)]
@@ -545,8 +524,8 @@ def unit_group_structure(g, field=None):
             diags.append(f"infinite emitter {v}")
     cycles = graphs.simple_cycles(g)
     for c in cycles:
-        if graphs.cycle_has_exit(g, c):
-            exit_edge = _first_exit(g, c)
+        exit_edge = graphs.cycle_exit(g, c)
+        if exit_edge is not None:
             diags.append(f"cycle {'.'.join(c.edges)} has exit {exit_edge}")
     if diags:
         return UnitGroupDescriptor("not_artinian_or_noetherian", (), (), tuple(diags))
@@ -559,37 +538,26 @@ def unit_group_structure(g, field=None):
     return UnitGroupDescriptor("product", gl, laurent)
 
 
-def _first_exit(g, c):
-    for name in c.edges:
-        v = g.source(name)
-        if g.out_bundles[v]:
-            return f"bundle at {v}"
-        for other in g.out_edges[v]:
-            if other != name:
-                return other
-    raise AssertionError("cycle has no exit")
-
-
 def _paths_into(g, excluded_edges):
     """Number of paths (trivial included) ending at each vertex, avoiding the
-    excluded edges; the pruned graph must be acyclic."""
+    excluded edges; the pruned graph must be acyclic.  Counted in a
+    topological order (Kahn), so each in-edge adds its source's count."""
+    pending = {v: 0 for v in g.vertices}
+    for e in g.edges:
+        if e.name not in excluded_edges:
+            pending[e.dst] += 1
+    ready = [v for v in g.vertices if not pending[v]]
     counts = {}
-
-    def count(v):
-        if v in counts:
-            return counts[v]
-        counts[v] = None    # cycle guard
-        total = 1
-        for e in g.edges:
-            if e.name in excluded_edges or e.dst != v:
-                continue
-            sub = count(e.src)
-            if sub is None:
-                raise WitnessError("path counting hit a cycle outside the excluded set")
-            total += sub
-        counts[v] = total
-        return total
-
-    for v in g.vertices:
-        count(v)
+    while ready:
+        v = ready.pop()
+        counts[v] = 1 + sum(counts[g.source(e)] for e in g.in_edges[v]
+                            if e not in excluded_edges)
+        for e in g.out_edges[v]:
+            if e not in excluded_edges:
+                w = g.range(e)
+                pending[w] -= 1
+                if not pending[w]:
+                    ready.append(w)
+    if len(counts) != len(g.vertices):
+        raise WitnessError("path counting hit a cycle outside the excluded set")
     return counts

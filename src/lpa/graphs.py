@@ -52,10 +52,6 @@ class Graph:
         return {e.name: e for e in self.edges}
 
     @cached_property
-    def order_map(self):
-        return dict(self.order)
-
-    @cached_property
     def out_edges(self):
         out = {v: [] for v in self.vertices}
         for v, names in self.order:
@@ -84,6 +80,14 @@ class Graph:
         for src, dst in self.bundles:
             succ[src].add(dst)
         return {v: frozenset(s) for v, s in succ.items()}
+
+    @cached_property
+    def predecessors(self):
+        pred = {v: set() for v in self.vertices}
+        for u, succ in self.successors.items():
+            for v in succ:
+                pred[v].add(u)
+        return {v: frozenset(s) for v, s in pred.items()}
 
     def require_vertex(self, v):
         if v not in self.successors:
@@ -154,47 +158,40 @@ def is_regular(g, v):
     return classify_vertex(g, v) == REGULAR
 
 
+def _closure(v, step):
+    """Every vertex reached from v by repeated ``step``, v included."""
+    seen, stack = {v}, [v]
+    while stack:
+        for x in step(stack.pop()):
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen
+
+
 def reaches(g, u, v):
     """True iff there is a path (length >= 0) from u to v; bundles count."""
     g.require_vertex(u)
     g.require_vertex(v)
-    seen = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        if w == v:
-            return True
-        for x in g.successors[w]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return v in seen
+    return v in _closure(u, g.successors.get)
 
 
 def M_of_vertex(g, v):
     """M(v): all vertices with a path into v."""
     g.require_vertex(v)
-    seen = {v}
-    preds = {w: set() for w in g.vertices}
-    for e in g.edges:
-        preds[e.dst].add(e.src)
-    for src, dst in g.bundles:
-        preds[dst].add(src)
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        for x in preds[w]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return frozenset(seen)
+    return frozenset(_closure(v, g.predecessors.get))
 
 
 def is_downward_directed(g):
-    """Every pair of vertices reaches a common vertex."""
-    desc = {v: frozenset(w for w in g.vertices if reaches(g, v, w)) for v in g.vertices}
-    vs = g.vertices
-    return all(desc[u] & desc[v] for u in vs for v in vs)
+    """Every pair of vertices reaches a common vertex.  In a finite graph that
+    holds exactly when some vertex is reached from all of them: a common
+    descendant of u and v, and w, have one in turn, and so on."""
+    common = set(g.vertices)
+    for v in g.vertices:
+        common &= _closure(v, g.successors.get)
+        if not common:
+            return False
+    return True
 
 
 def has_countable_separation(g):
@@ -281,32 +278,49 @@ def same_cycle(a, b):
 
 def simple_cycles(g):
     """All cycles, one representative per rotation class (based at the
-    declaration-least vertex on the cycle)."""
+    declaration-least vertex on the cycle), by an iterative depth-first
+    search from each base through the vertices declared after it that lead
+    back to it."""
     index = {v: i for i, v in enumerate(g.vertices)}
+    dst_of = {e.name: e.dst for e in g.edges}
     out = []
-
-    def dfs(base, current, edges_so_far, visited):
-        for name in g.out_edges[current]:
-            dst = g.range(name)
-            if dst == base:
-                out.append(make_cycle(g, edges_so_far + [name]))
-            elif dst not in visited and index[dst] > index[base]:
-                dfs(base, dst, edges_so_far + [name], visited | {dst})
-
     for base in g.vertices:
-        dfs(base, base, [], {base})
+        # predecessors through bundles too: a superset of those that matter
+        back = _closure(base, lambda w: (u for u in g.predecessors[w] if index[u] > index[base]))
+        path, on_path = [], {base}
+        stack = [iter(g.out_edges[base])]     # one edge iterator per path vertex
+        while stack:
+            name = next(stack[-1], None)
+            if name is None:
+                stack.pop()
+                if path:
+                    on_path.discard(dst_of[path.pop()])
+                continue
+            dst = dst_of[name]
+            if dst == base:
+                out.append(make_cycle(g, path + [name]))
+            elif dst in back and dst not in on_path:
+                path.append(name)
+                on_path.add(dst)
+                stack.append(iter(g.out_edges[dst]))
     return out
 
 
-def cycle_has_exit(g, c):
+def cycle_exit(g, c):
+    """The first exit of the cycle c, an edge name or ``bundle at v``, or
+    None when it has none."""
     for name in c.edges:
         v = g.source(name)
         if g.out_bundles[v]:
-            return True
+            return f"bundle at {v}"
         for other in g.out_edges[v]:
             if other != name:
-                return True
-    return False
+                return other
+    return None
+
+
+def cycle_has_exit(g, c):
+    return cycle_exit(g, c) is not None
 
 
 def condition_L(g):

@@ -124,12 +124,6 @@ class QuotientMap:
     vertex_images: tuple    # ((v, AlgebraElement), ...)
     edge_images: tuple
 
-    def vertex_image(self, v):
-        return dict(self.vertex_images)[v]
-
-    def edge_image(self, e):
-        return dict(self.edge_images)[e]
-
 
 def make_quotient_map(g, spec, field, check=True):
     H = set(spec.H)
@@ -205,18 +199,10 @@ def phi_apply(qm, x):
         raise IdealError("the quotient epimorphism is defined on Leavitt elements")
     if x.graph != qm.source or x.field != qm.field:
         raise IdealError("element does not live over the map's source algebra")
-    vimg = dict(qm.vertex_images)
     eimg = dict(qm.edge_images)
-    out = algebra.zero(qm.target, qm.field)
-    for m, c in x.terms:
-        img = vimg[m.vertex]
-        for e in reversed(m.lam):
-            img = eimg[e] * img
-        # nu* = (f1 ... fl)* multiplies the ghost images in reversed order
-        for e in reversed(m.nu):
-            img = img * algebra.star(eimg[e])
-        out = out + img.scale(c)
-    return out
+    ghosts = {e: algebra.star(eimg[e]) for m, _ in x.terms for e in m.nu}
+    return algebra.substitute(x, dict(qm.vertex_images), eimg, ghosts,
+                              algebra.zero(qm.target, qm.field))
 
 
 def kernel_generators(g, spec, field):

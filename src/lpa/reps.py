@@ -128,29 +128,22 @@ def emitter_module(g, field, v):
 
 
 @dataclass(frozen=True)
-class ModuleVector:
+class ModuleVector(fields.Combination):
     module: ModuleSpec
     terms: tuple    # ((BasisVector, FieldElement), ...) sorted
 
-    def is_zero(self):
-        return not self.terms
+    error = ModuleError
 
-    def __add__(self, other):
-        if self.module != other.module:
+    @property
+    def field(self):
+        return self.module.field
+
+    def _check(self, other):
+        if not isinstance(other, ModuleVector) or self.module != other.module:
             raise ModuleError("vectors live in different modules")
-        add, _, _, zero = self.module.field.ops
-        acc = {b: c.payload for b, c in self.terms}
-        for b, c in other.terms:
-            fields.add_term(acc, b, c.payload, add, zero)
+
+    def _make(self, acc):
         return _vec(self.module, acc)
-
-    def __sub__(self, other):
-        return self + other.scale(-fields.one(self.module.field))
-
-    def scale(self, k):
-        if k.is_zero():
-            return _vec(self.module, {})
-        return ModuleVector(self.module, tuple((b, c * k) for b, c in self.terms))
 
     def __str__(self):
         if not self.terms:
@@ -187,20 +180,13 @@ def _validate_basis(module, b):
             graphs.make_cycle(g, b.cycle), graphs.make_cycle(g, module.cycle)
         ):
             raise ModuleError("tail does not belong to this module's class")
-    elif module.kind == "sink":
-        if not isinstance(b, SinkPath) or b.sink != module.vertex:
-            raise ModuleError("vector does not belong to this sink module")
-        if b.path:
-            p = graphs.make_path(g, b.path)
-            if graphs.path_range(g, p) != b.sink:
-                raise ModuleError("path does not end at the sink")
     else:
-        if not isinstance(b, EmitterPath) or b.emitter != module.vertex:
-            raise ModuleError("vector does not belong to this emitter module")
-        if b.path:
-            p = graphs.make_path(g, b.path)
-            if graphs.path_range(g, p) != b.emitter:
-                raise ModuleError("path does not end at the emitter")
+        kind = module.kind      # "sink" or "emitter", also the end's attribute
+        cls = SinkPath if kind == "sink" else EmitterPath
+        if not isinstance(b, cls) or getattr(b, kind) != module.vertex:
+            raise ModuleError(f"vector does not belong to this {kind} module")
+        if b.path and graphs.path_range(g, graphs.make_path(g, b.path)) != module.vertex:
+            raise ModuleError(f"path does not end at the {kind}")
 
 
 def render_basis(b):

@@ -19,68 +19,54 @@ class ToeplitzError(ValueError):
 
 
 @dataclass(frozen=True)
-class FinitaryMatrix:
+class FinitaryMatrix(fields.Combination):
     field: fields.FieldDescriptor
-    entries: tuple      # (((i, j), FieldElement), ...) row-major, indices >= 1
+    terms: tuple        # (((i, j), FieldElement), ...) row-major, indices >= 1
+
+    error = ToeplitzError
+
+    def _check(self, other):
+        if not isinstance(other, FinitaryMatrix) or self.field != other.field:
+            raise ToeplitzError("matrices over different fields")
+
+    def _make(self, acc):
+        return _fin(self.field, acc)
 
     @property
     def support_bound(self):
-        return max((max(i, j) for (i, j), _ in self.entries), default=0)
+        return max((max(i, j) for (i, j), _ in self.terms), default=0)
 
     def entry(self, i, j):
-        return dict(self.entries).get((i, j), fields.zero(self.field))
-
-    def __add__(self, other):
-        _check(self, other)
-        add, _, _, zero = self.field.ops
-        acc = {pos: c.payload for pos, c in self.entries}
-        for pos, c in other.entries:
-            fields.add_term(acc, pos, c.payload, add, zero)
-        return _fin(self.field, acc)
-
-    def __sub__(self, other):
-        return self + other.scale(-fields.one(self.field))
+        return self.coeff((i, j))
 
     def __mul__(self, other):
-        _check(self, other)
+        self._check(other)
         add, mul, _, zero = self.field.ops
         cols = {}
-        for (i, j), c in other.entries:
+        for (i, j), c in other.terms:
             cols.setdefault(i, []).append((j, c.payload))
         acc = {}
-        for (i, k), a in self.entries:
+        for (i, k), a in self.terms:
             a = a.payload
             for j, b in cols.get(k, ()):
                 fields.add_term(acc, (i, j), mul(a, b), add, zero)
         return _fin(self.field, acc)
 
-    def scale(self, k):
-        if k.is_zero():
-            return _fin(self.field, {})
-        return FinitaryMatrix(
-            self.field, tuple((pos, c * k) for pos, c in self.entries)
-        )
-
     def dense(self, n=None):
         n = n or self.support_bound
         m = linalg.zeros(self.field, n)
         rows = [list(r) for r in m.rows]
-        for (i, j), c in self.entries:
+        for (i, j), c in self.terms:
             if i <= n and j <= n:
                 rows[i - 1][j - 1] = c
         return linalg.DenseMatrix(self.field, tuple(tuple(r) for r in rows))
 
     def __str__(self):
-        if not self.entries:
+        if not self.terms:
             return "0"
         return " ".join(
-            f"({i},{j},{fields.element_str(c)})" for (i, j), c in self.entries
+            f"({i},{j},{fields.element_str(c)})" for (i, j), c in self.terms
         )
-
-
-def _check(a, b):
-    if a.field != b.field:
-        raise ToeplitzError("matrices over different fields")
 
 
 def _fin(field, acc):
@@ -119,7 +105,7 @@ class AugmentedMatrix:
         return AugmentedMatrix(m + n + m * n)
 
     def is_identity(self):
-        return not self.perturbation.entries
+        return self.perturbation.is_zero()
 
     def entry(self, i, j):
         base = fields.one(self.field) if i == j else fields.zero(self.field)
@@ -173,17 +159,11 @@ def toeplitz_graph():
     return corpus.load("toeplitz")
 
 
-def _xy(g, field):
-    e = algebra.edge_element(g, field, "e")
-    f = algebra.edge_element(g, field, "f")
-    X = algebra.star(e) + algebra.star(f)
-    Y = e + f
-    return X, Y
-
-
 def shift_generators(g, field):
     """X = e* + f* and Y = e + f, with XY = 1 and YX = u."""
-    return _xy(g, field)
+    e = algebra.edge_element(g, field, "e")
+    f = algebra.edge_element(g, field, "f")
+    return algebra.star(e) + algebra.star(f), e + f
 
 
 def toeplitz_matrix_units(i, j, field, g=None):
@@ -191,7 +171,7 @@ def toeplitz_matrix_units(i, j, field, g=None):
     if i < 1 or j < 1:
         raise ToeplitzError("matrix-unit indices start at 1")
     g = g or toeplitz_graph()
-    X, Y = _xy(g, field)
+    X, Y = shift_generators(g, field)
     one = algebra.identity(g, field)
 
     def power(a, k):
@@ -224,16 +204,7 @@ def toeplitz_embed(x, N):
         "f": _fin(field, {(2, 1): one}),
     }
     ghosts = {
-        name: _fin(field, {(j, i): c.payload for (i, j), c in m.entries})
+        name: _fin(field, {(j, i): c.payload for (i, j), c in m.terms})
         for name, m in images.items()
     }
-    out = fin_zero(field)
-    for m, c in x.terms:
-        acc = images[m.vertex]
-        for e in reversed(m.lam):
-            acc = images[e] * acc
-        # nu* = (f1 ... fl)* multiplies the ghost images in reversed order
-        for e in reversed(m.nu):
-            acc = acc * ghosts[e]
-        out = out + acc.scale(c)
-    return out
+    return algebra.substitute(x, images, images, ghosts, fin_zero(field))

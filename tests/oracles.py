@@ -5,8 +5,10 @@ the code paths under test: a free-word rewriter applying relations in random
 order, transitive-closure reachability, subset-enumeration closure,
 closed-walk cycle enumeration, multiplication matrices of simple field
 extensions, term-by-term and row-by-column products in ``FieldElement``
-arithmetic for the payload kernels of the algebra and matrix products, and
-function-field fractions reduced by the general gcd for every denominator.
+arithmetic for the payload kernels of the algebra and matrix products and
+of the shared linear-combination core, function-field fractions reduced by
+the general gcd for every denominator, and the recursive and pairwise graph
+walks that the iterative ones replaced.
 """
 
 from __future__ import annotations
@@ -213,6 +215,57 @@ def closed_walks_cycles(g):
     return found
 
 
+def recursive_simple_cycles(g):
+    """The recursive cycle listing: depth-first from each base through the
+    vertices declared after it, with a fresh visited set per call."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    out = []
+
+    def dfs(base, current, edges_so_far, visited):
+        for name in g.out_edges[current]:
+            dst = g.range(name)
+            if dst == base:
+                out.append(graphs.make_cycle(g, edges_so_far + [name]))
+            elif dst not in visited and index[dst] > index[base]:
+                dfs(base, dst, edges_so_far + [name], visited | {dst})
+
+    for base in g.vertices:
+        dfs(base, base, [], {base})
+    return out
+
+
+def recursive_paths_into(g, excluded_edges):
+    """Paths (trivial included) ending at each vertex and avoiding the
+    excluded edges, by memoized recursion on in-edges; None on a cycle."""
+    counts = {}
+
+    def count(v):
+        if v in counts:
+            return counts[v]
+        counts[v] = None    # cycle guard
+        total = 1
+        for e in g.edges:
+            if e.name in excluded_edges or e.dst != v:
+                continue
+            sub = count(e.src)
+            if sub is None:
+                return None
+            total += sub
+        counts[v] = total
+        return total
+
+    for v in g.vertices:
+        if count(v) is None:
+            return None
+    return counts
+
+
+def pairwise_downward_directed(g):
+    """Every pair of vertices has a common descendant, pair by pair."""
+    desc = {v: {w for w in g.vertices if graphs.reaches(g, v, w)} for v in g.vertices}
+    return all(desc[u] & desc[v] for u in g.vertices for v in g.vertices)
+
+
 # -- extension-field oracle ---------------------------------------------------
 
 
@@ -287,6 +340,17 @@ def matrix_product(a, b):
         )
         for i in range(n)
     )
+
+
+def linear_combination(field, *scaled):
+    """The terms {key: FieldElement} of k1 x1 + k2 x2 + ... for ``(k, x)``
+    pairs of a scalar and a combination, summed key by key in FieldElement
+    arithmetic, zeros dropped."""
+    acc = {}
+    for k, x in scaled:
+        for key, c in x.terms:
+            acc[key] = acc.get(key, fields.zero(field)) + k * c
+    return {key: c for key, c in acc.items() if not c.is_zero()}
 
 
 # -- function-field fractions --------------------------------------------------

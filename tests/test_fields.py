@@ -205,9 +205,67 @@ def test_extension_modulus_must_have_no_rational_root():
     with pytest.raises(fields.ReducibleModulusError, match="root 10000000000000000$"):
         fields.parse_descriptor(f"Q[x]/(x^2-{big})")
     assert fields.parse_descriptor(f"Q[x]/(x^2-{2 * big})").kind == "ext"
-    # from degree 3 on, a constant term past the trial-division budget is
-    # trusted, not searched (x^3 - 2*10^32 is irreducible)
+    # a cubic past the trial-division budget is not searched but needs a
+    # certificate prime (x^3 - 2*10^32 stays irreducible modulo 7)
     assert fields.parse_descriptor(f"Q[x]/(x^3-{2 * big})").kind == "ext"
+
+
+def test_q_moduli_past_the_root_search_need_a_certificate():
+    from lpa import cli
+
+    # the least certificate prime of x^3 - 2*10^32; x^4 + 1 is irreducible
+    # but splits modulo every prime, so it has none and is refused
+    assert fields._certificate_prime([-2 * 10 ** 32, 0, 0, 1]) == 7
+    assert fields._certificate_prime([1, 0, 0, 0, 1]) is None
+    with pytest.raises(fields.UncertifiedModulusError, match=r"modulus x\^4 \+ 1 "):
+        fields.parse_descriptor("Q[x]/(x^4+1)")
+    assert fields.parse_descriptor("Q[x]/(x^4-2)").kind == "ext"
+    # (x^2+1)(x^2+2) has no rational root, and x^3 - 10^30 has the root 10^10
+    # past the search budget: both used to print 0 for a product of nonzero
+    # scalars
+    ten10 = 10 ** 10
+    for field, expr in (
+        ("Q[x]/(x^4+3*x^2+2)", "(xbar xbar + 1)(xbar xbar + 2) u"),
+        (f"Q[x]/(x^3-{ten10 ** 3})",
+         f"(xbar - {ten10})(xbar xbar + {ten10} xbar + {ten10 ** 2}) u"),
+    ):
+        assert cli.main(["nf", "--graph", "toeplitz", "--field", field, "--expr", expr]) == 2
+
+
+def test_accepted_q_moduli_are_irreducible_by_sympy():
+    import sympy
+
+    x = sympy.symbols("x")
+    rng = random.Random(13)
+
+    def draw(n):
+        return [rng.randint(-4, 4) for _ in range(n)] + [rng.choice((-3, -1, 1, 2))]
+
+    outcomes = {"accepted": 0, "reducible": 0, "uncertified": 0}
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        if rng.random() < 0.3:
+            # a product of two factors, to exercise the refusals
+            a, b = draw(rng.randint(1, n - 1)), draw(1)
+            while len(a) + len(b) - 1 < n + 1:
+                b = b + [rng.choice((-1, 1))]
+            coeffs = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                      for k in range(len(a) + len(b) - 1)]
+        else:
+            coeffs = draw(n)
+        irreducible = sympy.Poly(list(reversed(coeffs)), x, domain=sympy.QQ).is_irreducible
+        try:
+            fields.extension(fields.rationals(), coeffs)
+        except fields.ReducibleModulusError:
+            assert not irreducible, coeffs
+            outcomes["reducible"] += 1
+            continue
+        except fields.UncertifiedModulusError:
+            outcomes["uncertified"] += 1
+            continue
+        assert irreducible, coeffs
+        outcomes["accepted"] += 1
+    assert outcomes["accepted"] > 50 and outcomes["reducible"] > 20, outcomes
 
 
 def test_is_prime_matches_sympy_and_is_fast():

@@ -1,5 +1,10 @@
 """Graph model: parsing, classification, reachability, cycles, closures."""
 
+import json
+import subprocess
+import sys
+import time
+
 import pytest
 
 import oracles
@@ -107,6 +112,42 @@ def test_exclusive_cycles(graphs_by_name):
     t = graphs_by_name["toeplitz"]
     (ct,) = graphs.simple_cycles(t)
     assert graphs.is_exclusive_cycle(t, ct)
+
+
+def test_cycle_exit_names_the_first_exit(graphs_by_name):
+    g = graphs.parse_graph("graph g\nvertex u\nvertex v\nedge e u u\nbundle u v\n")
+    (c,) = graphs.simple_cycles(g)
+    assert graphs.cycle_exit(g, c) == "bundle at u"
+    (ct,) = graphs.simple_cycles(graphs_by_name["toeplitz"])
+    assert graphs.cycle_exit(graphs_by_name["toeplitz"], ct) == "f"
+    (c1,) = graphs.simple_cycles(graphs_by_name["r1"])
+    assert graphs.cycle_exit(graphs_by_name["r1"], c1) is None
+
+
+LARGE = 1500
+
+
+@pytest.mark.parametrize("command, shape, expect", [
+    ("analyze", "line", ("cycles", [])),
+    ("analyze", "cycle", ("condition_L", False)),
+    ("unit-group", "line", ("descriptor", f"GL_{LARGE}(K)")),
+    ("unit-group", "cycle", ("descriptor", f"GL_{LARGE}(K[x,x^-1])")),
+])
+def test_large_graphs_run_without_recursion(tmp_path, command, shape, expect):
+    edges = LARGE - 1 if shape == "line" else LARGE
+    path = tmp_path / f"{shape}.lpa"
+    path.write_text(
+        f"graph {shape}\n" + "".join(f"vertex v{i}\n" for i in range(LARGE))
+        + "".join(f"edge e{i} v{i} v{(i + 1) % LARGE}\n" for i in range(edges))
+    )
+    started = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "lpa.cli", command, "--graph", str(path),
+                          "--json"], capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - started
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr[-500:]
+    key, value = expect
+    assert json.loads(out.stdout)["result"][key] == value
+    assert elapsed < 10, elapsed
 
 
 def test_downward_directed(graphs_by_name):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from lpa import algebra, corpus, fields, linalg, polys, sampling, toeplitz
+from lpa import algebra, corpus, fields, linalg, polys, reps, sampling, toeplitz
 
 KERNEL_FIELDS = ["Q", "F7", "Q(t)", "F5(s,t)", "Q[x]/(x^2+1)"]
 
@@ -102,6 +102,60 @@ def test_mixed_field_algebra_coefficient_raises(Q):
         algebra.element(g, Q, algebra.LEAVITT, {u: fields.one(F7)})
     with pytest.raises(algebra.AlgebraError):
         algebra.identity(g, Q).scale(fields.one(F7))
+
+
+# -- the linear-combination core shared by elements, vectors and matrices ------
+
+CORE_FIELDS = ["Q", "F7", "Q(t)", "Q[x]/(x^2+1)"]
+
+
+def _random_combination(kind, K, rng):
+    """A random algebra element, sink-module vector or finitary matrix over K."""
+    if kind == "algebra":
+        return sampling.random_element(rng, corpus.load("toeplitz"), K, max_terms=4)
+    terms = [sampling.random_scalar(rng, K, nonzero=True) for _ in range(rng.randint(0, 4))]
+    if kind == "module":
+        module = reps.sink_module(corpus.load("toeplitz"), K, "v")
+        basis = reps.sample_basis(module, 5)
+        out = reps.basis_vector(module, basis[0]).scale(fields.zero(K))
+        for k in terms:
+            out = out + reps.basis_vector(module, rng.choice(basis)).scale(k)
+        return out
+    out = toeplitz.fin_zero(K)
+    for k in terms:
+        out = out + toeplitz.fin_unit(K, rng.randint(1, 3), rng.randint(1, 3), k)
+    return out
+
+
+@pytest.mark.parametrize("desc", CORE_FIELDS)
+@pytest.mark.parametrize("kind, error", [("algebra", algebra.AlgebraError),
+                                         ("module", reps.ModuleError),
+                                         ("finitary", toeplitz.ToeplitzError)])
+def test_combination_core_matches_term_by_term_oracle(kind, error, desc):
+    K = fields.parse_descriptor(desc)
+    F5 = fields.prime_field(5)
+    rng = random.Random(kind + desc)
+    one, minus_one, zero = fields.one(K), -fields.one(K), fields.zero(K)
+    for _ in range(12):
+        x, y = (_random_combination(kind, K, rng) for _ in range(2))
+        k = sampling.random_scalar(rng, K)
+        assert dict((-x).terms) == oracles.linear_combination(K, (minus_one, x))
+        assert dict((x - y).terms) == oracles.linear_combination(K, (one, x), (minus_one, y))
+        assert dict((x + y).terms) == oracles.linear_combination(K, (one, x), (one, y))
+        assert dict(x.scale(k).terms) == oracles.linear_combination(K, (k, x))
+        assert x.scale(zero).is_zero() and (x - x).is_zero()
+        expect = oracles.linear_combination(K, (one, x))
+        for key, _ in x.terms + y.terms:
+            assert x.coeff(key) == expect.get(key, zero)
+        # a foreign operand or scalar raises the class's own error
+        foreign = _random_combination(kind, F5, rng)
+        for bad in (lambda: x + foreign, lambda: x - foreign, lambda: x + k,
+                    lambda: x.scale(fields.one(F5)), lambda: x.scale(1)):
+            with pytest.raises(error):
+                bad()
+        if kind != "module":
+            with pytest.raises(error):
+                x * foreign
 
 
 # -- function-field payloads: the monomial-denominator path against the gcd ----

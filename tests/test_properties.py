@@ -2,9 +2,11 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpa import algebra, fields, graphs, sampling
+import oracles
+from lpa import algebra, fields, freegroups, graphs, sampling
 
 VERTEX_POOL = ("a", "b", "c", "d")
 EDGE_POOL = ("p", "q", "r", "s", "t2")
@@ -26,6 +28,39 @@ def small_graphs(draw):
             (draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
         )
     return graphs.make_graph("h", vertices, edges, bundles)
+
+
+@st.composite
+def graphs_up_to_six(draw):
+    """Up to six vertices and nine edges, with loops, parallel edges, up to
+    two bundles and a drawn edge order at every vertex."""
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(1, 6))))
+    vertex = st.sampled_from(vertices)
+    edges = [(f"e{i}", draw(vertex), draw(vertex)) for i in range(draw(st.integers(0, 9)))]
+    bundles = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    order = {}
+    for v in vertices:
+        out = [name for name, src, _ in edges if src == v]
+        order[v] = draw(st.permutations(out))
+    return graphs.make_graph("h", vertices, edges, bundles, order)
+
+
+@given(graphs_up_to_six(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_iterative_graph_walks_match_recursive_oracles(g, data):
+    cycles = graphs.simple_cycles(g)
+    assert cycles == oracles.recursive_simple_cycles(g)
+    assert graphs.is_downward_directed(g) == oracles.pairwise_downward_directed(g)
+    for c in cycles:
+        assert graphs.cycle_has_exit(g, c) == (graphs.cycle_exit(g, c) is not None)
+    drawn = data.draw(st.sets(st.sampled_from(sorted(g.edge_map)))) if g.edges else set()
+    for excluded in (drawn, {e for c in cycles for e in c.edges}):
+        expect = oracles.recursive_paths_into(g, excluded)
+        if expect is None:
+            with pytest.raises(freegroups.WitnessError):
+                freegroups._paths_into(g, excluded)
+        else:
+            assert freegroups._paths_into(g, excluded) == expect
 
 
 @given(small_graphs())

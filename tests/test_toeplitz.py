@@ -15,7 +15,7 @@ def test_fin_matrix_units(Q):
     e12, e21 = unit(Q, 1, 2), unit(Q, 2, 1)
     assert e12 * e21 == unit(Q, 1, 1)
     assert (e21 * e12) == unit(Q, 2, 2)
-    assert (e12 * e12).entries == ()
+    assert (e12 * e12).terms == ()
 
 
 def test_aug_mul_inverse_pair(Q):
