@@ -302,7 +302,7 @@ def evaluate_word(letters, inverses=None):
 
 def all_paths(g):
     """Every finite path over named edges; graph must be cycle-free."""
-    if graphs.simple_cycles(g):
+    if g.cycles:
         raise AlgebraError("path enumeration needs an acyclic graph")
     out = [graphs.PathSeq((), v) for v in g.vertices]
     frontier = list(out)

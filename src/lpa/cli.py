@@ -136,7 +136,6 @@ def _elem_str(x):
 
 def _run_analyze(args, ctx):
     g = ctx["graph"]
-    cycles = graphs.simple_cycles(g)
     result = {
         "vertices": {v: graphs.classify_vertex(g, v) for v in g.vertices},
         "sinks": [v for v in g.vertices if graphs.classify_vertex(g, v) == graphs.SINK],
@@ -151,7 +150,7 @@ def _run_analyze(args, ctx):
                 "has_exit": graphs.cycle_has_exit(g, c),
                 "exclusive": graphs.is_exclusive_cycle(g, c),
             }
-            for c in cycles
+            for c in g.cycles
         ],
         "condition_L": graphs.condition_L(g),
         "downward_directed": graphs.is_downward_directed(g),
@@ -283,10 +282,11 @@ def _parse_witness(args, ctx):
                 return freegroups.RationalPathEdge(f, tail)
         raise CliInputError("the edge does not enter the cycle")
     if head == "line":
-        bits = rest.split(":")
-        if len(bits) != 2:
-            raise CliInputError("expected line:<i>:<j>")
-        return freegroups.LineGraph(int(bits[0]), int(bits[1]))
+        try:
+            i, j = map(int, rest.split(":"))
+        except ValueError:
+            raise CliInputError("expected line:<i>:<j> with integers i and j") from None
+        return freegroups.LineGraph(i, j)
     raise CliInputError(f"unknown witness kind {head!r}")
 
 

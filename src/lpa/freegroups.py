@@ -160,22 +160,34 @@ class MatrixPair:
     b_inv: linalg.DenseMatrix
 
 
+def _dressed(one, a_part, b_part, p_idem, q_idem, alpha, beta):
+    """``(a, b, a_inv, b_inv)`` with ``a = 1 + alpha a_part``, ``b = 1 + alpha
+    b_part`` and their inverses ``1 - alpha part``; given beta, the pair adds
+    ``(beta - 1) p + (beta^-1 - 1) q`` and the inverses the mirror image.
+    Works on anything with ``+``, ``-`` and ``scale``."""
+    a, b = one + a_part.scale(alpha), one + b_part.scale(alpha)
+    a_inv, b_inv = one - a_part.scale(alpha), one - b_part.scale(alpha)
+    if beta is None:
+        return a, b, a_inv, b_inv
+    om, bi = fields.one(beta.field), beta.inverse()
+    dress = p_idem.scale(beta - om) + q_idem.scale(bi - om)
+    undress = p_idem.scale(bi - om) + q_idem.scale(beta - om)
+    return a + dress, b + dress, a_inv + undress, b_inv + undress
+
+
+def _unit_pair(case, field, n, units, alpha, beta):
+    """The pair of ``_dressed`` on n x n matrix units: ``units`` holds the
+    (row, column) positions of a_part, b_part, p and q."""
+    parts = (linalg.matrix_unit(field, n, i, j) for i, j in units)
+    return MatrixPair(case, *_dressed(
+        linalg.identity_matrix(field, n), *parts, alpha, beta if case == "prime" else None
+    ))
+
+
 def sanov_pair(field, alpha, beta=None):
     """I + alpha E21 and I + alpha E12, beta-dressed in characteristic p."""
     case = validate_parameters(field, alpha, beta)
-    o, z = fields.one(field), fields.zero(field)
-    A = linalg.from_rows(field, [[o, z], [alpha, o]])
-    B = linalg.from_rows(field, [[o, alpha], [z, o]])
-    Ai = linalg.from_rows(field, [[o, z], [-alpha, o]])
-    Bi = linalg.from_rows(field, [[o, -alpha], [z, o]])
-    if case == "zero":
-        return MatrixPair(case, A, B, Ai, Bi)
-    bi = beta.inverse()
-    C = linalg.from_rows(field, [[beta, z], [alpha, bi]])
-    D = linalg.from_rows(field, [[beta, alpha], [z, bi]])
-    Ci = linalg.from_rows(field, [[bi, z], [-alpha, beta]])
-    Di = linalg.from_rows(field, [[bi, -alpha], [z, beta]])
-    return MatrixPair(case, C, D, Ci, Di)
+    return _unit_pair(case, field, 2, ((2, 1), (1, 2), (1, 1), (2, 2)), alpha, beta)
 
 
 # -- generator pairs -----------------------------------------------------------
@@ -229,29 +241,23 @@ def _witness_parts(g, field, witness):
 def build_generators(g, field, witness, alpha, beta=None):
     validate_witness(g, witness)
     case = validate_parameters(field, alpha, beta)
-    a_part, b_part, p_idem, q_idem = _witness_parts(g, field, witness)
-    one = algebra.identity(g, field)
-    a = one + a_part.scale(alpha)
-    b = one + b_part.scale(alpha)
-    a_inv = one - a_part.scale(alpha)
-    b_inv = one - b_part.scale(alpha)
-    if case == "prime":
-        if isinstance(witness, BreakingVertex) and g.source(witness.edge) == witness.vertex:
-            raise WitnessError(
-                "characteristic p needs s(f) != w: the beta idempotents s(f) "
-                "and w^H must be orthogonal"
-            )
-        om = fields.one(field)
-        bi = beta.inverse()
-        a = a + p_idem.scale(beta - om) + q_idem.scale(bi - om)
-        b = b + p_idem.scale(beta - om) + q_idem.scale(bi - om)
-        a_inv = a_inv + p_idem.scale(bi - om) + q_idem.scale(beta - om)
-        b_inv = b_inv + p_idem.scale(bi - om) + q_idem.scale(beta - om)
+    if case == "prime" and isinstance(witness, BreakingVertex) \
+            and g.source(witness.edge) == witness.vertex:
+        raise WitnessError(
+            "characteristic p needs s(f) != w: the beta idempotents s(f) "
+            "and w^H must be orthogonal"
+        )
+    a, b, a_inv, b_inv = _dressed(
+        algebra.identity(g, field), *_witness_parts(g, field, witness),
+        alpha, beta if case == "prime" else None,
+    )
     for x, y in ((a, a_inv), (b, b_inv)):
         if not algebra.verify_inverse(x, y):
             raise WitnessError("closed-form inverse failed verification")
     if isinstance(witness, LineGraph):
-        matrices = _line_matrix_pair(g, field, witness, alpha, beta, case)
+        i, j = witness.i, witness.j
+        matrices = _unit_pair(case, field, len(g.vertices),
+                              ((i, j), (j, i), (i, i), (j, j)), alpha, beta)
     else:
         matrices = sanov_pair(field, alpha, beta)
     pair = GeneratorPair(
@@ -262,28 +268,6 @@ def build_generators(g, field, witness, alpha, beta=None):
         if got != expect:
             raise WitnessError("matrix image of a generator disagrees with the formula")
     return pair
-
-
-def _line_matrix_pair(g, field, witness, alpha, beta, case):
-    n = len(g.vertices)
-    i, j = witness.i, witness.j
-    I = linalg.identity_matrix(field, n)
-    Ma = I + linalg.matrix_unit(field, n, i, j, alpha)
-    Mb = I + linalg.matrix_unit(field, n, j, i, alpha)
-    Mai = I - linalg.matrix_unit(field, n, i, j, alpha)
-    Mbi = I - linalg.matrix_unit(field, n, j, i, alpha)
-    if case == "prime":
-        om = fields.one(field)
-        bi = beta.inverse()
-        dress = linalg.matrix_unit(field, n, i, i, beta - om) + linalg.matrix_unit(
-            field, n, j, j, bi - om
-        )
-        undress = linalg.matrix_unit(field, n, i, i, bi - om) + linalg.matrix_unit(
-            field, n, j, j, beta - om
-        )
-        Ma, Mb = Ma + dress, Mb + dress
-        Mai, Mbi = Mai + undress, Mbi + undress
-    return MatrixPair(case, Ma, Mb, Mai, Mbi)
 
 
 # -- images in the matrix corner -----------------------------------------------
@@ -438,7 +422,7 @@ def find_witness(g, spec=None, preferred=None):
             for e in g.edges:
                 if e.dst == w:
                     out.append(BreakingVertex(spec, w, e.name))
-    for c in graphs.simple_cycles(g):
+    for c in g.cycles:
         if not graphs.is_exclusive_cycle(g, c):
             continue
         for k in range(len(c.edges)):
@@ -522,19 +506,18 @@ def unit_group_structure(g, field=None):
     for v in g.vertices:
         if graphs.classify_vertex(g, v) == graphs.INFINITE_EMITTER:
             diags.append(f"infinite emitter {v}")
-    cycles = graphs.simple_cycles(g)
-    for c in cycles:
+    for c in g.cycles:
         exit_edge = graphs.cycle_exit(g, c)
         if exit_edge is not None:
             diags.append(f"cycle {'.'.join(c.edges)} has exit {exit_edge}")
     if diags:
         return UnitGroupDescriptor("not_artinian_or_noetherian", (), (), tuple(diags))
-    cycle_edges = {e for c in cycles for e in c.edges}
+    cycle_edges = {e for c in g.cycles for e in c.edges}
     counts = _paths_into(g, cycle_edges)
     gl = tuple(
         counts[v] for v in g.vertices if graphs.classify_vertex(g, v) == graphs.SINK
     )
-    laurent = tuple(sum(counts[v] for v in c.vertices(g)) for c in cycles)
+    laurent = tuple(sum(counts[v] for v in c.vertices(g)) for c in g.cycles)
     return UnitGroupDescriptor("product", gl, laurent)
 
 

@@ -9,6 +9,7 @@ classification, reachability, exits, and breaking-vertex counts.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,6 +89,16 @@ class Graph:
             for v in succ:
                 pred[v].add(u)
         return {v: frozenset(s) for v, s in pred.items()}
+
+    @cached_property
+    def cycles(self):
+        """Every cycle, listed once per graph by ``simple_cycles``."""
+        return tuple(simple_cycles(self))
+
+    @cached_property
+    def cycles_through(self):
+        """The number of listed cycles through each vertex."""
+        return Counter(v for c in self.cycles for v in c.vertices(self))
 
     def require_vertex(self, v):
         if v not in self.successors:
@@ -324,18 +335,13 @@ def cycle_has_exit(g, c):
 
 
 def condition_L(g):
-    return all(cycle_has_exit(g, c) for c in simple_cycles(g))
+    return all(cycle_has_exit(g, c) for c in g.cycles)
 
 
 def is_exclusive_cycle(g, c):
-    """No vertex of c lies on a different cycle (rotations of c excluded)."""
-    mine = set(c.vertices(g))
-    for other in simple_cycles(g):
-        if same_cycle(c, other):
-            continue
-        if mine & set(other.vertices(g)):
-            return False
-    return True
+    """No vertex of c lies on a different cycle (rotations of c excluded):
+    each lies on exactly one listed cycle, the one c is a rotation of."""
+    return all(g.cycles_through[v] == 1 for v in c.vertices(g))
 
 
 # -- hereditary / saturated machinery -------------------------------------

@@ -20,10 +20,10 @@ class IdealSpec:
 
 
 def admissible_pair(g, H, S=()):
+    for v in (*H, *S):
+        g.require_vertex(v)
     H = tuple(sorted(set(H), key=g.vertices.index))
     S = tuple(sorted(set(S), key=g.vertices.index))
-    for v in H + S:
-        g.require_vertex(v)
     if not graphs.is_hereditary(g, H):
         raise IdealError(f"H={set(H) or '{}'} is not hereditary")
     if not graphs.is_saturated(g, H):
@@ -289,11 +289,8 @@ def classify_primitive_witness(g, spec, cycle=None):
         if not graphs.is_downward_directed(quotient):
             diags.append("type II fails: quotient graph is not downward directed")
             ok = False
-        if not graphs.condition_L(quotient):
-            bad = [
-                c for c in graphs.simple_cycles(quotient)
-                if not graphs.cycle_has_exit(quotient, c)
-            ]
+        bad = [c for c in quotient.cycles if not graphs.cycle_has_exit(quotient, c)]
+        if bad:
             names = ", ".join(".".join(c.edges) for c in bad)
             diags.append(f"type II fails: Condition (L) fails on cycle(s) {names}")
             ok = False
@@ -324,10 +321,10 @@ def classify_primitive_witness(g, spec, cycle=None):
         report = attempt()
         if report:
             return report
-    for c in graphs.simple_cycles(g):
+    for c in g.cycles:
         report = type_three(c)
         if report:
             return report
-    if not graphs.simple_cycles(g):
+    if not g.cycles:
         diags.append("type III fails: the graph has no cycles")
     return WitnessReport("not_applicable", spec, B, diagnostics=tuple(diags))

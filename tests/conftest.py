@@ -40,6 +40,15 @@ def rng():
     return random.Random(20240811)
 
 
+def complete_digraph(n):
+    """Graph text of K_n: n vertices and an edge between each ordered pair of
+    distinct vertices, so sum_k C(n, k) (k - 1)! cycles (409 for n = 6)."""
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    edges = [(a, b) for a in vertices for b in vertices if a != b]
+    return (f"graph K{n}\n" + "".join(f"vertex {v}\n" for v in vertices)
+            + "".join(f"edge e{k} {a} {b}\n" for k, (a, b) in enumerate(edges, 1)))
+
+
 def gens(g, field, mode=algebra.LEAVITT):
     """Convenience bundle: identity, vertices, edges, ghosts."""
     out = {"1": algebra.identity(g, field, mode)}

@@ -234,6 +234,18 @@ def recursive_simple_cycles(g):
     return out
 
 
+def enumerated_exclusive_cycle(g, c):
+    """No vertex of c lies on a different cycle (rotations of c excluded),
+    by comparing c with every cycle of the recursive listing."""
+    mine = set(c.vertices(g))
+    for other in recursive_simple_cycles(g):
+        if graphs.same_cycle(c, other):
+            continue
+        if mine & set(other.vertices(g)):
+            return False
+    return True
+
+
 def recursive_paths_into(g, excluded_edges):
     """Paths (trivial included) ending at each vertex and avoiding the
     excluded edges, by memoized recursion on in-edges; None on a cycle."""

@@ -5,10 +5,11 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from conftest import gens
+from conftest import complete_digraph, gens
 from lpa import algebra, cli, corpus, exprs, fields, sampling
 
 
@@ -128,12 +129,36 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
      "--alpha", "1/5", "--beta", "t"),
     ("nf", "--graph", "toeplitz", "--expr", "(" * 3000 + "u" + ")" * 3000),
     ("nf", "--graph", "toeplitz", "--field", "F5[x]/(x^12+x+2)", "--expr", "xbar u"),
+    ("free-gens", "--graph", "a3", "--witness", "line:a:2", "--alpha", "2"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error (")
+
+
+@pytest.mark.parametrize("argv", [
+    ("quotient", "--graph", "toeplitz", "--H", "zz"),
+    ("classify", "--graph", "toeplitz", "--H", "u", "--S", "zz"),
+    ("free-gens", "--graph", "toeplitz", "--witness", "qsink:zz:f", "--alpha", "2"),
+])
+def test_cli_unknown_vertex_in_ideal_exit_1_without_traceback(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error (GraphError): unknown vertex 'zz' in graph 'toeplitz'")
+
+
+def test_cli_analyze_complete_digraph_k7(tmp_path):
+    path = tmp_path / "k7.lpa"
+    path.write_text(complete_digraph(7))
+    started = time.perf_counter()
+    out = run_cli("analyze", "--graph", str(path), "--json", timeout=60)
+    elapsed = time.perf_counter() - started
+    assert out.returncode == 0, out.stderr[-500:]
+    assert len(json.loads(out.stdout)["result"]["cycles"]) == 2365
+    assert elapsed < 5, elapsed
 
 
 def test_cli_large_prime_field():

@@ -8,7 +8,8 @@ import time
 import pytest
 
 import oracles
-from lpa import graphs
+from conftest import complete_digraph
+from lpa import cli, freegroups, graphs
 
 
 def test_parse_toeplitz(graphs_by_name):
@@ -148,6 +149,20 @@ def test_large_graphs_run_without_recursion(tmp_path, command, shape, expect):
     key, value = expect
     assert json.loads(out.stdout)["result"][key] == value
     assert elapsed < 10, elapsed
+
+
+def test_each_graph_lists_its_cycles_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    listing = graphs.simple_cycles
+    monkeypatch.setattr(graphs, "simple_cycles", lambda g: calls.append(g.name) or listing(g))
+    path = tmp_path / "k6.lpa"
+    path.write_text(complete_digraph(6))
+    assert cli.main(["analyze", "--graph", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["cycles"]) == 409
+    assert calls == ["K6"]
+    calls.clear()
+    assert freegroups.find_witness(graphs.parse_graph(complete_digraph(6))) == []
+    assert calls == ["K6"]
 
 
 def test_downward_directed(graphs_by_name):

@@ -50,9 +50,11 @@ def graphs_up_to_six(draw):
 def test_iterative_graph_walks_match_recursive_oracles(g, data):
     cycles = graphs.simple_cycles(g)
     assert cycles == oracles.recursive_simple_cycles(g)
+    assert g.cycles == tuple(oracles.recursive_simple_cycles(g))
     assert graphs.is_downward_directed(g) == oracles.pairwise_downward_directed(g)
     for c in cycles:
         assert graphs.cycle_has_exit(g, c) == (graphs.cycle_exit(g, c) is not None)
+        assert graphs.is_exclusive_cycle(g, c) == oracles.enumerated_exclusive_cycle(g, c)
     drawn = data.draw(st.sets(st.sampled_from(sorted(g.edge_map)))) if g.edges else set()
     for excluded in (drawn, {e for c in cycles for e in c.edges}):
         expect = oracles.recursive_paths_into(g, excluded)
