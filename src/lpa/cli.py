@@ -256,6 +256,8 @@ def _parse_witness(args, ctx):
                 H = _vertices(hs)
                 S = ideals.breaking_vertices(g, H)
             spec = ideals.admissible_pair(g, H, S)
+            if f not in g.edge_map:
+                raise CliInputError(f"unknown edge {f!r}")
             return freegroups.QuotientSink(spec, f, g.range(f))
         raise CliInputError("expected qsink:<H>[;<S>]:<f>")
     if head == "breaking":
@@ -403,9 +405,7 @@ def _run_toeplitz(args, ctx):
     result = {"size": args.size, "entries": triples}
     lines = [str(mat)]
     if args.det:
-        det = linalg.det_gauss(
-            linalg.identity_matrix(field, args.size) + mat.dense(args.size)
-        )
+        det = linalg.det_gauss(toeplitz.AugmentedMatrix(mat).dense(args.size))
         result["det_of_I_plus_M"] = fields.element_str(det)
         lines.append(f"det(I + M) over the {args.size} corner: {result['det_of_I_plus_M']}")
     return result, lines, []

@@ -288,9 +288,7 @@ def _corner_image(module, b1, b2, x):
                 f"{reps.render_basis(b)} outside the span"
             )
         cols.append((coeffs.get(b1, fields.zero(field)), coeffs.get(b2, fields.zero(field))))
-    return linalg.DenseMatrix(
-        field, ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-    )
+    return linalg.from_rows(field, zip(*cols))
 
 
 def _sink_corner(g, field, fe, x):
@@ -464,13 +462,13 @@ class LineGraphIso:
         g = self.graph
         chain, _ = _line_order(g)
         index = {v: i for i, v in enumerate(chain, start=1)}
-        n = len(chain)
-        out = linalg.zeros(self.field, n)
+        add, _, _, zero = self.field.ops
+        acc = {}
         for m, c in x.terms:
             i = index[algebra.mono_source(g, m)]
             j = index[algebra.mono_range(g, m)]
-            out = out + linalg.matrix_unit(self.field, n, i, j, c)
-        return out
+            fields.add_term(acc, (i, j), c.payload, add, zero)
+        return linalg.square(self.field, len(chain), acc)
 
 
 def line_graph_iso(n, field):

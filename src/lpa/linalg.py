@@ -1,5 +1,6 @@
-"""Small dense exact matrices of FieldElement entries; products run on raw
-payloads through the field's ``ops``."""
+"""Exact sparse matrices of FieldElement entries: finitary matrices over an
+N x N array and n x n matrices, with one product on raw payloads through the
+field's ``ops``, and the two determinants."""
 
 from __future__ import annotations
 
@@ -12,66 +13,84 @@ class MatrixError(ValueError):
     pass
 
 
+class ToeplitzError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
-class DenseMatrix:
+class FinitaryMatrix(fields.Combination):
     field: fields.FieldDescriptor
-    rows: tuple     # tuple of row tuples of FieldElement
+    terms: tuple        # (((i, j), FieldElement), ...) row-major, indices >= 1
+
+    error = ToeplitzError
+
+    def _check(self, other):
+        if type(other) is not FinitaryMatrix or self.field != other.field:
+            raise ToeplitzError("matrices over different fields")
+
+    def _make(self, acc):
+        return FinitaryMatrix(self.field, _terms(self.field, acc))
 
     @property
-    def n(self):
-        return len(self.rows)
+    def support_bound(self):
+        return max((max(i, j) for (i, j), _ in self.terms), default=0)
 
     def entry(self, i, j):
-        """1-indexed."""
-        return self.rows[i - 1][j - 1]
-
-    def __add__(self, other):
-        _check(self, other)
-        return DenseMatrix(
-            self.field,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
-
-    def __sub__(self, other):
-        _check(self, other)
-        return DenseMatrix(
-            self.field,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self.coeff((i, j))
 
     def __mul__(self, other):
-        _check(self, other)
-        field = self.field
-        add, mul, _, zero = field.ops
-        cols = tuple(zip(*((b.payload for b in row) for row in other.rows)))
-        out = []
-        for row in self.rows:
-            row = [a.payload for a in row]
-            cells = []
-            for col in cols:
-                s = zero
-                for a, b in zip(row, col):
-                    s = add(s, mul(a, b))
-                cells.append(fields.FieldElement(field, s))
-            out.append(tuple(cells))
-        return DenseMatrix(field, tuple(out))
+        self._check(other)
+        add, mul, _, zero = self.field.ops
+        cols = {}
+        for (i, j), c in other.terms:
+            cols.setdefault(i, []).append((j, c.payload))
+        acc = {}
+        for (i, k), a in self.terms:
+            a = a.payload
+            for j, b in cols.get(k, ()):
+                fields.add_term(acc, (i, j), mul(a, b), add, zero)
+        return self._make(acc)
 
-    def scale(self, k):
+    def dense(self, n):
+        """The leading n x n corner."""
         return DenseMatrix(
-            self.field, tuple(tuple(a * k for a in row) for row in self.rows)
+            self.field, tuple(t for t in self.terms if max(t[0]) <= n), n
         )
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " ".join(
+            f"({i},{j},{fields.element_str(c)})" for (i, j), c in self.terms
+        )
+
+
+@dataclass(frozen=True)
+class DenseMatrix(FinitaryMatrix):
+    """An n x n matrix: a finitary matrix supported in the leading n x n
+    corner, which mixes only with matrices of its own field and size."""
+    n: int
+
+    error = MatrixError
+
+    def _check(self, other):
+        if type(other) is not DenseMatrix or (self.field, self.n) != (other.field, other.n):
+            raise MatrixError("matrix shape or field mismatch")
+
+    def _make(self, acc):
+        return DenseMatrix(self.field, _terms(self.field, acc), self.n)
+
+    @property
+    def rows(self):
+        z = fields.zero(self.field)
+        rows = [[z] * self.n for _ in range(self.n)]
+        for (i, j), c in self.terms:
+            rows[i - 1][j - 1] = c
+        return tuple(map(tuple, rows))
 
     def block(self, k):
         """Leading k x k corner."""
-        return DenseMatrix(
-            self.field, tuple(tuple(row[:k]) for row in self.rows[:k])
-        )
+        return self.dense(k)
 
     def __str__(self):
         return "\n".join(
@@ -80,9 +99,19 @@ class DenseMatrix:
         )
 
 
-def _check(a, b):
-    if a.field != b.field or a.n != b.n:
-        raise MatrixError("matrix shape or field mismatch")
+def _terms(field, acc):
+    """The sorted terms of the sparse payload dict ``acc``."""
+    return tuple((pos, fields.FieldElement(field, acc[pos])) for pos in sorted(acc))
+
+
+def finitary(field, acc):
+    """The finitary matrix of the sparse payload dict ``acc``."""
+    return FinitaryMatrix(field, _terms(field, acc))
+
+
+def square(field, n, acc):
+    """The n x n matrix of the sparse payload dict ``acc``."""
+    return DenseMatrix(field, _terms(field, acc), n)
 
 
 def _entry(field, a):
@@ -95,37 +124,30 @@ def _entry(field, a):
     return a
 
 
-def zeros(field, n):
-    z = fields.zero(field)
-    return DenseMatrix(field, tuple(tuple(z for _ in range(n)) for _ in range(n)))
-
-
 def identity_matrix(field, n):
-    z, o = fields.zero(field), fields.one(field)
-    return DenseMatrix(
-        field,
-        tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)),
-    )
+    one = fields.one(field)
+    return DenseMatrix(field, tuple(((i, i), one) for i in range(1, n + 1)), n)
 
 
 def matrix_unit(field, n, i, j, value=None):
     """E_ij (1-indexed), optionally scaled."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise MatrixError(f"matrix unit ({i}, {j}) lies outside the {n} x {n} shape")
     value = fields.one(field) if value is None else _entry(field, value)
-    z = fields.zero(field)
-    return DenseMatrix(
-        field,
-        tuple(
-            tuple(value if (r, c) == (i - 1, j - 1) else z for c in range(n))
-            for r in range(n)
-        ),
-    )
+    return DenseMatrix(field, () if value.is_zero() else (((i, j), value),), n)
 
 
 def from_rows(field, rows):
-    out = [tuple(_entry(field, a) for a in row) for row in rows]
-    if any(len(r) != len(out) for r in out):
+    rows = [[_entry(field, a) for a in row] for row in rows]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise MatrixError("matrix must be square")
-    return DenseMatrix(field, tuple(out))
+    return DenseMatrix(field, tuple(
+        ((i, j), a)
+        for i, row in enumerate(rows, start=1)
+        for j, a in enumerate(row, start=1)
+        if not a.is_zero()
+    ), n)
 
 
 def det_gauss(m):
@@ -158,19 +180,15 @@ def det_cofactor(m):
     field = m.field
     if n == 0:
         return fields.one(field)
+    rows = m.rows
     if n == 1:
-        return m.rows[0][0]
+        return rows[0][0]
     total = fields.zero(field)
     for j in range(n):
-        a = m.rows[0][j]
+        a = rows[0][j]
         if a.is_zero():
             continue
-        minor = DenseMatrix(
-            field,
-            tuple(
-                tuple(row[c] for c in range(n) if c != j) for row in m.rows[1:]
-            ),
-        )
+        minor = from_rows(field, (row[:j] + row[j + 1:] for row in rows[1:]))
         term = a * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total

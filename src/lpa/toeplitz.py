@@ -1,10 +1,11 @@
-"""Finitary infinite matrices, the global determinant, and the realization of
-the Toeplitz-graph algebra inside row/column-finite matrices.
+"""The global determinant and the realization of the Toeplitz-graph algebra
+inside row/column-finite matrices.
 
-A finitary matrix touches finitely many entries of an N x N array; an
-augmented matrix is the infinite identity plus a finitary perturbation.  The
-global determinant of ``I + M`` is the common value of all corner
-determinants once the corner contains the support of ``M``.
+A finitary matrix (``linalg.FinitaryMatrix``) touches finitely many entries
+of an N x N array; an augmented matrix is the infinite identity plus a
+finitary perturbation.  The global determinant of ``I + M`` is the common
+value of all corner determinants once the corner contains the support of
+``M``.
 """
 
 from __future__ import annotations
@@ -12,72 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import algebra, corpus, fields, linalg
-
-
-class ToeplitzError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class FinitaryMatrix(fields.Combination):
-    field: fields.FieldDescriptor
-    terms: tuple        # (((i, j), FieldElement), ...) row-major, indices >= 1
-
-    error = ToeplitzError
-
-    def _check(self, other):
-        if not isinstance(other, FinitaryMatrix) or self.field != other.field:
-            raise ToeplitzError("matrices over different fields")
-
-    def _make(self, acc):
-        return _fin(self.field, acc)
-
-    @property
-    def support_bound(self):
-        return max((max(i, j) for (i, j), _ in self.terms), default=0)
-
-    def entry(self, i, j):
-        return self.coeff((i, j))
-
-    def __mul__(self, other):
-        self._check(other)
-        add, mul, _, zero = self.field.ops
-        cols = {}
-        for (i, j), c in other.terms:
-            cols.setdefault(i, []).append((j, c.payload))
-        acc = {}
-        for (i, k), a in self.terms:
-            a = a.payload
-            for j, b in cols.get(k, ()):
-                fields.add_term(acc, (i, j), mul(a, b), add, zero)
-        return _fin(self.field, acc)
-
-    def dense(self, n=None):
-        n = n or self.support_bound
-        m = linalg.zeros(self.field, n)
-        rows = [list(r) for r in m.rows]
-        for (i, j), c in self.terms:
-            if i <= n and j <= n:
-                rows[i - 1][j - 1] = c
-        return linalg.DenseMatrix(self.field, tuple(tuple(r) for r in rows))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " ".join(
-            f"({i},{j},{fields.element_str(c)})" for (i, j), c in self.terms
-        )
-
-
-def _fin(field, acc):
-    """The matrix of the sparse payload dict ``acc``."""
-    return FinitaryMatrix(
-        field, tuple((pos, fields.FieldElement(field, acc[pos])) for pos in sorted(acc))
-    )
+from .linalg import FinitaryMatrix, ToeplitzError
 
 
 def fin_zero(field):
-    return _fin(field, {})
+    return linalg.finitary(field, {})
 
 
 def fin_unit(field, i, j, value=None):
@@ -88,7 +28,7 @@ def fin_unit(field, i, j, value=None):
         raise ToeplitzError(f"entry {value!r} does not lie in {field}")
     if value.is_zero():
         return fin_zero(field)
-    return _fin(field, {(i, j): value.payload})
+    return linalg.finitary(field, {(i, j): value.payload})
 
 
 @dataclass(frozen=True)
@@ -198,13 +138,13 @@ def toeplitz_embed(x, N):
         raise ToeplitzError("toeplitz_embed expects the Toeplitz graph")
     one = fields.one(field).payload
     images = {
-        "u": _fin(field, {(i, i): one for i in range(2, N + 1)}),
-        "v": _fin(field, {(1, 1): one}),
-        "e": _fin(field, {(i + 1, i): one for i in range(2, N)}),
-        "f": _fin(field, {(2, 1): one}),
+        "u": linalg.finitary(field, {(i, i): one for i in range(2, N + 1)}),
+        "v": linalg.finitary(field, {(1, 1): one}),
+        "e": linalg.finitary(field, {(i + 1, i): one for i in range(2, N)}),
+        "f": linalg.finitary(field, {(2, 1): one}),
     }
     ghosts = {
-        name: _fin(field, {(j, i): c.payload for (i, j), c in m.terms})
+        name: linalg.finitary(field, {(j, i): c.payload for (i, j), c in m.terms})
         for name, m in images.items()
     }
     return algebra.substitute(x, images, images, ghosts, fin_zero(field))

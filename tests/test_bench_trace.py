@@ -31,3 +31,4 @@ def test_traced_request_reports_every_metric(capsys):
     metrics = tracer.metrics(tracer.by_name())
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["cli.main.calls"] == 1 and metrics["algebra.rewrite.cache_entries"] > 0
+    assert metrics["linalg.matmul.calls"] == 16     # expected_word_count(2)

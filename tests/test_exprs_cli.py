@@ -10,7 +10,7 @@ import time
 import pytest
 
 from conftest import complete_digraph, gens
-from lpa import algebra, cli, corpus, exprs, fields, sampling
+from lpa import algebra, cli, corpus, exprs, fields, freegroups, graphs, linalg, sampling
 
 
 def parse(text, g, field, mode=algebra.LEAVITT):
@@ -130,6 +130,7 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
     ("nf", "--graph", "toeplitz", "--expr", "(" * 3000 + "u" + ")" * 3000),
     ("nf", "--graph", "toeplitz", "--field", "F5[x]/(x^12+x+2)", "--expr", "xbar u"),
     ("free-gens", "--graph", "a3", "--witness", "line:a:2", "--alpha", "2"),
+    ("free-gens", "--graph", "toeplitz", "--witness", "qsink:v:zz", "--alpha", "2"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
@@ -352,3 +353,22 @@ def test_cli_line_witness_on_user_line_graph(tmp_path, text):
         assert out.returncode == 0, out.stderr
         result = json.loads(out.stdout)["result"]
         assert result["all_nontrivial"] and result["matrix_crosscheck"], result
+
+
+def test_cli_line_witness_scales_with_the_line(tmp_path, Q):
+    n = 160
+    text = (f"graph a{n}\n" + "".join(f"vertex v{i}\n" for i in range(1, n + 1))
+            + "".join(f"edge e{i} v{i} v{i + 1}\n" for i in range(1, n)))
+    gfile = tmp_path / "line.lpa"
+    gfile.write_text(text)
+    started = time.perf_counter()
+    out = run_cli("free-gens", "--graph", str(gfile), "--witness", "line:1:2", "--alpha", "2",
+                  "--verify-len", "1", "--json", timeout=60)
+    elapsed = time.perf_counter() - started
+    assert out.returncode == 0, out.stderr[-500:]
+    result = json.loads(out.stdout)["result"]
+    assert result["all_nontrivial"] and result["matrix_crosscheck"], result
+    assert elapsed < 10, elapsed
+    g = graphs.parse_graph(text)
+    image = freegroups.LineGraphIso(g, Q).image(algebra.identity(g, Q))
+    assert image == linalg.identity_matrix(Q, n)

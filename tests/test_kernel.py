@@ -94,6 +94,12 @@ def test_mixed_field_matrix_entry_raises(Q):
         toeplitz.fin_unit(Q, 1, 2, fields.one(F7))
 
 
+@pytest.mark.parametrize("i, j", [(3, 1), (1, 3), (0, 1), (1, 0)])
+def test_matrix_unit_outside_shape_raises(Q, i, j):
+    with pytest.raises(linalg.MatrixError, match="outside"):
+        linalg.matrix_unit(Q, 2, i, j)
+
+
 def test_mixed_field_algebra_coefficient_raises(Q):
     g = corpus.load("toeplitz")
     F7 = fields.prime_field(7)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from lpa import algebra, fields, linalg, sampling, toeplitz as tp
 
 
@@ -34,7 +35,7 @@ def test_fin_mul_vs_dense_oracle(Q, rng):
             entries_b[(rng.randint(1, 6), rng.randint(1, 6))] = sampling.random_scalar(rng, Q, nonzero=True)
         A = tp.FinitaryMatrix(Q, tuple(sorted(entries_a.items())))
         B = tp.FinitaryMatrix(Q, tuple(sorted(entries_b.items())))
-        assert (A * B).dense(6) == A.dense(6) * B.dense(6)
+        assert (A * B).dense(6).rows == oracles.matrix_product(A.dense(6), B.dense(6))
         assert (A + B).dense(6) == A.dense(6) + B.dense(6)
 
 
@@ -190,5 +191,5 @@ def test_dense_det_oracle_agreement(Q, rng):
                 [sampling.random_scalar(rng, Q) for _ in range(n)]
                 for _ in range(n)
             ]
-            m = linalg.DenseMatrix(Q, tuple(tuple(r) for r in rows))
+            m = linalg.from_rows(Q, rows)
             assert linalg.det_gauss(m) == linalg.det_cofactor(m)
