@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import fields, graphs
+from . import fields, graphs, polys
 
 COHN = "cohn"
 LEAVITT = "leavitt"
@@ -120,7 +120,7 @@ class AlgebraElement(fields.Combination):
     graph: graphs.Graph
     field: fields.FieldDescriptor
     mode: str
-    terms: tuple    # ((Monomial, FieldElement), ...) sorted by Monomial.sort_key
+    terms: tuple    # ((Monomial, payload), ...) sorted by Monomial.sort_key
 
     error = AlgebraError
 
@@ -138,10 +138,8 @@ class AlgebraElement(fields.Combination):
         add, mul, _, zero = field.ops
         acc = {}
         leavitt = self.mode == LEAVITT
-        rhs = [(m2, c2.payload) for m2, c2 in other.terms]
         for m1, c1 in self.terms:
-            c1 = c1.payload
-            for m2, c2 in rhs:
+            for m2, c2 in other.terms:
                 raw = mono_mul(g, m1, m2)
                 if raw is None:
                     continue
@@ -160,30 +158,37 @@ class AlgebraElement(fields.Combination):
 
 def _assemble(g, field, mode, acc):
     """The element of the sparse payload dict ``acc``."""
-    monos = sorted(acc, key=Monomial.sort_key)
+    terms = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
     if mode == LEAVITT:
-        for m in monos:
+        for m, _ in terms:
             if is_forbidden(g, m):
                 raise AlgebraError(f"forbidden monomial {m} survived reduction")
-    terms = tuple((m, fields.FieldElement(field, acc[m])) for m in monos)
     return AlgebraElement(g, field, mode, terms)
+
+
+def _reduce(g, field, mode, payloads):
+    """The element of the ``(Monomial, nonzero payload)`` pairs, summed
+    through the Leavitt rewrite in Leavitt mode."""
+    add, _, _, zero = field.ops
+    acc = {}
+    for m, c in payloads:
+        if mode == LEAVITT:
+            _add_reduced(acc, g, field, m, c)
+        else:
+            fields.add_term(acc, m, c, add, zero)
+    return _assemble(g, field, mode, acc)
 
 
 def element(g, field, mode, coeffs):
     """Build an element from {Monomial: FieldElement}, validating and reducing."""
-    add, _, _, zero = field.ops
-    acc = {}
+    payloads = []
     for m, c in coeffs.items():
         _validate_monomial(g, m)
         if c.field != field:
             raise AlgebraError("coefficient lies in the wrong field")
-        if c.is_zero():
-            continue
-        if mode == LEAVITT:
-            _add_reduced(acc, g, field, m, c.payload)
-        else:
-            fields.add_term(acc, m, c.payload, add, zero)
-    return _assemble(g, field, mode, acc)
+        if not c.is_zero():
+            payloads.append((m, c.payload))
+    return _reduce(g, field, mode, payloads)
 
 
 def zero(g, field, mode=LEAVITT):
@@ -225,13 +230,13 @@ def scalar(g, field, k, mode=LEAVITT):
 def normal_form(x):
     """Re-reduce an element; a stored element is already normal, so this is
     the identity on anything built through this module."""
-    return element(x.graph, x.field, x.mode, dict(x.terms))
+    return _reduce(x.graph, x.field, x.mode, x.terms)
 
 
 def star(x):
     """The involution: (lam nu*)* = nu lam*, fixing scalars."""
-    acc = {Monomial(m.nu, m.lam, m.vertex): c for m, c in x.terms}
-    return element(x.graph, x.field, x.mode, acc)
+    payloads = ((Monomial(m.nu, m.lam, m.vertex), c) for m, c in x.terms)
+    return _reduce(x.graph, x.field, x.mode, payloads)
 
 
 def homogeneous_components(x):
@@ -247,7 +252,7 @@ def cohn_to_leavitt(x):
     """Project a Cohn element onto the Leavitt quotient by re-reducing."""
     if x.mode != COHN:
         raise AlgebraError("cohn_to_leavitt expects a Cohn-mode element")
-    return element(x.graph, x.field, LEAVITT, dict(x.terms))
+    return _reduce(x.graph, x.field, LEAVITT, x.terms)
 
 
 def verify_inverse(x, y):
@@ -268,7 +273,7 @@ def substitute(x, vertex_images, edge_images, ghost_images, out):
         # nu* = (f1 ... fl)* multiplies the ghost images in reversed order
         for e in reversed(m.nu):
             img = img * ghost_images[e]
-        out = out + img.scale(c)
+        out = out + img.scale_payload(c)
     return out
 
 
@@ -372,17 +377,11 @@ def render(x):
     parts = []
     for m, c in x.terms:
         mono = render_monomial(m)
-        cs = fields.element_str(c)
+        cs = str(fields.FieldElement(x.field, c))
         if cs == "1":
             parts.append(mono)
         elif cs == "-1":
             parts.append(f"-{mono}")
         else:
             parts.append(f"{cs} {mono}")
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return polys.signed_sum(parts)

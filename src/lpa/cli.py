@@ -297,8 +297,8 @@ def _run_free_gens(args, ctx):
     witness = _parse_witness(args, ctx)
     alpha = fields.parse_element(field, args.alpha)
     beta = fields.parse_element(field, args.beta) if args.beta else None
-    if args.verify_len < 1:
-        raise CliInputError("--verify-len must be >= 1")
+    if not 1 <= args.verify_len <= freegroups.MAX_VERIFY_LEN:
+        raise CliInputError(f"--verify-len must lie in 1..{freegroups.MAX_VERIFY_LEN}")
     pair = freegroups.build_generators(g, field, witness, alpha, beta)
     report = freegroups.verify_free_up_to(pair, args.verify_len)
     names = ("a", "b") if pair.char_case == "zero" else ("c", "d")
@@ -401,7 +401,7 @@ def _run_toeplitz(args, ctx):
     g = toeplitz.toeplitz_graph()
     x = exprs.parse_expr(args.expr, g, field, algebra.LEAVITT)
     mat = toeplitz.toeplitz_embed(x, args.size)
-    triples = [[i, j, fields.element_str(c)] for (i, j), c in mat.terms]
+    triples = [[i, j, str(fields.FieldElement(field, c))] for (i, j), c in mat.terms]
     result = {"size": args.size, "entries": triples}
     lines = [str(mat)]
     if args.det:

@@ -145,9 +145,10 @@ def add_term(acc, key, c, add, zero):
 
 class Combination:
     """A finite linear combination over ``field``: ``terms`` is a sorted tuple
-    of ``(key, FieldElement)`` with no zero coefficient.
+    of ``(key, payload)`` with no zero payload.
 
-    The linear structure runs on raw payloads through ``field.ops``.  A
+    The linear structure runs on raw payloads through ``field.ops``; a
+    ``FieldElement`` is built only where a coefficient is read out.  A
     subclass supplies ``field``, its domain ``error`` class, ``_check(other)``,
     which raises that error unless ``other`` lies in the same space, and
     ``_make(acc)``, the element of a sparse payload dict.
@@ -159,20 +160,20 @@ class Combination:
     def coeff(self, key):
         for k, c in self.terms:
             if k == key:
-                return c
+                return FieldElement(self.field, c)
         return zero(self.field)
 
     def __add__(self, other):
         self._check(other)
         add, _, _, z = self.field.ops
-        acc = {k: c.payload for k, c in self.terms}
+        acc = dict(self.terms)
         for k, c in other.terms:
-            add_term(acc, k, c.payload, add, z)
+            add_term(acc, k, c, add, z)
         return self._make(acc)
 
     def __neg__(self):
         neg = self.field.ops[2]
-        return self._make({k: neg(c.payload) for k, c in self.terms})
+        return self._make({k: neg(c) for k, c in self.terms})
 
     def __sub__(self, other):
         self._check(other)
@@ -181,10 +182,14 @@ class Combination:
     def scale(self, k):
         if not isinstance(k, FieldElement) or k.field != self.field:
             raise self.error("scalar lies in the wrong field")
-        if k.is_zero():
+        return self.scale_payload(k.payload)
+
+    def scale_payload(self, k):
+        """The combination times the raw payload ``k`` of ``field``."""
+        _, mul, _, z = self.field.ops
+        if k == z:
             return self._make({})
-        mul = self.field.ops[1]
-        return self._make({key: mul(c.payload, k.payload) for key, c in self.terms})
+        return self._make({key: mul(c, k) for key, c in self.terms})
 
 
 # -- descriptors ---------------------------------------------------------
@@ -435,12 +440,15 @@ def profile(field):
 
 # -- payload arithmetic --------------------------------------------------
 
-def _zero_payload(field):
+def int_payload(field, n):
+    """The payload of the integer n in ``field``."""
+    c = polys.cfrom_int(n, field.char)
     if field.kind in ("Q", "Fp"):
-        return polys.czero(field.char)
+        return c
     if field.kind == "fraction":
-        return (polys.pcanon({}), _one_poly_canon(field))
-    return ()
+        num = polys.pconst(c, len(field.variables), field.char)
+        return (polys.pcanon(num), _one_poly_canon(field))
+    return (c,) if c else ()
 
 
 def _one_poly_canon(field):
@@ -449,7 +457,7 @@ def _one_poly_canon(field):
 
 
 def zero(field):
-    return FieldElement(field, _zero_payload(field))
+    return from_int(field, 0)
 
 
 def one(field):
@@ -457,13 +465,7 @@ def one(field):
 
 
 def from_int(field, n):
-    c = polys.cfrom_int(n, field.char)
-    if field.kind in ("Q", "Fp"):
-        return FieldElement(field, c)
-    if field.kind == "fraction":
-        num = polys.pconst(c, len(field.variables), field.char)
-        return FieldElement(field, (polys.pcanon(num), _one_poly_canon(field)))
-    return FieldElement(field, (c,) if c else ())
+    return FieldElement(field, int_payload(field, n))
 
 
 def from_fraction(field, fr):
@@ -493,7 +495,7 @@ def xbar(field):
 def _frac_make(field, num, den):
     p = field.char
     if not num:
-        return _zero_payload(field)
+        return int_payload(field, 0)
     if not den:
         raise ZeroDivisionError("zero denominator in function field")
     if len(den) == 1:
@@ -594,7 +596,7 @@ def _inv(field, a):
 
 
 def _payload_ops(field):
-    zero = _zero_payload(field)
+    zero = int_payload(field, 0)
     if field.kind == "Q":
         return (lambda a, b: _qnorm(a + b)), (lambda a, b: _qnorm(a * b)), operator.neg, zero
     if field.kind == "Fp":
@@ -742,13 +744,7 @@ def _upoly_str(base, t, varname):
                 parts.append(f"{cs}*{head}")
             else:
                 parts.append(f"({cs})*{head}")
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
+    return polys.signed_sum(parts)
 
 
 def element_str(x):

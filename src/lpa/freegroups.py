@@ -276,19 +276,16 @@ def _corner_image(module, b1, b2, x):
     """The matrix of x acting on the two-dimensional space spanned by the
     module vectors b1, b2 (the paper's corner map: s(f) -> E11, f -> E12);
     raises when x does not stabilize the span."""
-    field = module.field
     cols = []
     for b in (b1, b2):
         out = reps.act(x, reps.basis_vector(module, b))
-        coeffs = dict(out.terms)
-        extra = set(coeffs) - {b1, b2}
-        if extra:
+        if any(k not in (b1, b2) for k, _ in out.terms):
             raise WitnessError(
                 "element does not stabilize the corner: it moves "
                 f"{reps.render_basis(b)} outside the span"
             )
-        cols.append((coeffs.get(b1, fields.zero(field)), coeffs.get(b2, fields.zero(field))))
-    return linalg.from_rows(field, zip(*cols))
+        cols.append((out.coeff(b1), out.coeff(b2)))
+    return linalg.from_rows(module.field, zip(*cols))
 
 
 def _sink_corner(g, field, fe, x):
@@ -351,11 +348,15 @@ def expected_word_count(L):
     return sum(4 * 3 ** (k - 1) for k in range(1, L + 1))
 
 
+# the word budget: expected_word_count(12) = 1,062,880 reduced words
+MAX_VERIFY_LEN = 12
+
+
 def verify_free_up_to(pair, L):
     """Evaluate every nonempty reduced word of length <= L over the pair and
     its inverses, in the algebra and in the matrix corner."""
-    if L < 1:
-        raise ValueError("word length bound must be >= 1")
+    if not 1 <= L <= MAX_VERIFY_LEN:
+        raise ValueError(f"word length bound must lie in 1..{MAX_VERIFY_LEN}")
     names = ("a", "b", "a^-1", "b^-1") if pair.char_case == "zero" else (
         "c", "d", "c^-1", "d^-1"
     )
@@ -467,7 +468,7 @@ class LineGraphIso:
         for m, c in x.terms:
             i = index[algebra.mono_source(g, m)]
             j = index[algebra.mono_range(g, m)]
-            fields.add_term(acc, (i, j), c.payload, add, zero)
+            fields.add_term(acc, (i, j), c, add, zero)
         return linalg.square(self.field, len(chain), acc)
 
 

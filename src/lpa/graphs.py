@@ -287,11 +287,15 @@ def same_cycle(a, b):
     return any(a.edges[k:] + a.edges[:k] == b.edges for k in range(n))
 
 
+# the cycle budget: K8 has 16,064 cycles, K9 already 125,664
+MAX_CYCLES = 20_000
+
+
 def simple_cycles(g):
     """All cycles, one representative per rotation class (based at the
     declaration-least vertex on the cycle), by an iterative depth-first
     search from each base through the vertices declared after it that lead
-    back to it."""
+    back to it; refused past MAX_CYCLES cycles."""
     index = {v: i for i, v in enumerate(g.vertices)}
     dst_of = {e.name: e.dst for e in g.edges}
     out = []
@@ -309,6 +313,8 @@ def simple_cycles(g):
                 continue
             dst = dst_of[name]
             if dst == base:
+                if len(out) == MAX_CYCLES:
+                    raise GraphError(f"graph {g.name!r} has more than {MAX_CYCLES} cycles")
                 out.append(make_cycle(g, path + [name]))
             elif dst in back and dst not in on_path:
                 path.append(name)

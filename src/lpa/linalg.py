@@ -1,4 +1,4 @@
-"""Exact sparse matrices of FieldElement entries: finitary matrices over an
+"""Exact sparse matrices of field payloads: finitary matrices over an
 N x N array and n x n matrices, with one product on raw payloads through the
 field's ``ops``, and the two determinants."""
 
@@ -20,7 +20,7 @@ class ToeplitzError(ValueError):
 @dataclass(frozen=True)
 class FinitaryMatrix(fields.Combination):
     field: fields.FieldDescriptor
-    terms: tuple        # (((i, j), FieldElement), ...) row-major, indices >= 1
+    terms: tuple        # (((i, j), payload), ...) row-major, indices >= 1
 
     error = ToeplitzError
 
@@ -29,7 +29,7 @@ class FinitaryMatrix(fields.Combination):
             raise ToeplitzError("matrices over different fields")
 
     def _make(self, acc):
-        return FinitaryMatrix(self.field, _terms(self.field, acc))
+        return finitary(self.field, acc)
 
     @property
     def support_bound(self):
@@ -43,10 +43,9 @@ class FinitaryMatrix(fields.Combination):
         add, mul, _, zero = self.field.ops
         cols = {}
         for (i, j), c in other.terms:
-            cols.setdefault(i, []).append((j, c.payload))
+            cols.setdefault(i, []).append((j, c))
         acc = {}
         for (i, k), a in self.terms:
-            a = a.payload
             for j, b in cols.get(k, ()):
                 fields.add_term(acc, (i, j), mul(a, b), add, zero)
         return self._make(acc)
@@ -61,7 +60,7 @@ class FinitaryMatrix(fields.Combination):
         if not self.terms:
             return "0"
         return " ".join(
-            f"({i},{j},{fields.element_str(c)})" for (i, j), c in self.terms
+            f"({i},{j},{fields.FieldElement(self.field, c)})" for (i, j), c in self.terms
         )
 
 
@@ -78,14 +77,14 @@ class DenseMatrix(FinitaryMatrix):
             raise MatrixError("matrix shape or field mismatch")
 
     def _make(self, acc):
-        return DenseMatrix(self.field, _terms(self.field, acc), self.n)
+        return square(self.field, self.n, acc)
 
     @property
     def rows(self):
         z = fields.zero(self.field)
         rows = [[z] * self.n for _ in range(self.n)]
         for (i, j), c in self.terms:
-            rows[i - 1][j - 1] = c
+            rows[i - 1][j - 1] = fields.FieldElement(self.field, c)
         return tuple(map(tuple, rows))
 
     def block(self, k):
@@ -99,19 +98,14 @@ class DenseMatrix(FinitaryMatrix):
         )
 
 
-def _terms(field, acc):
-    """The sorted terms of the sparse payload dict ``acc``."""
-    return tuple((pos, fields.FieldElement(field, acc[pos])) for pos in sorted(acc))
-
-
 def finitary(field, acc):
     """The finitary matrix of the sparse payload dict ``acc``."""
-    return FinitaryMatrix(field, _terms(field, acc))
+    return FinitaryMatrix(field, tuple(sorted(acc.items())))
 
 
 def square(field, n, acc):
     """The n x n matrix of the sparse payload dict ``acc``."""
-    return DenseMatrix(field, _terms(field, acc), n)
+    return DenseMatrix(field, tuple(sorted(acc.items())), n)
 
 
 def _entry(field, a):
@@ -125,8 +119,8 @@ def _entry(field, a):
 
 
 def identity_matrix(field, n):
-    one = fields.one(field)
-    return DenseMatrix(field, tuple(((i, i), one) for i in range(1, n + 1)), n)
+    one = fields.int_payload(field, 1)
+    return square(field, n, {(i, i): one for i in range(1, n + 1)})
 
 
 def matrix_unit(field, n, i, j, value=None):
@@ -134,7 +128,7 @@ def matrix_unit(field, n, i, j, value=None):
     if not (1 <= i <= n and 1 <= j <= n):
         raise MatrixError(f"matrix unit ({i}, {j}) lies outside the {n} x {n} shape")
     value = fields.one(field) if value is None else _entry(field, value)
-    return DenseMatrix(field, () if value.is_zero() else (((i, j), value),), n)
+    return square(field, n, {} if value.is_zero() else {(i, j): value.payload})
 
 
 def from_rows(field, rows):
@@ -142,12 +136,12 @@ def from_rows(field, rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise MatrixError("matrix must be square")
-    return DenseMatrix(field, tuple(
-        ((i, j), a)
+    return square(field, n, {
+        (i, j): a.payload
         for i, row in enumerate(rows, start=1)
         for j, a in enumerate(row, start=1)
         if not a.is_zero()
-    ), n)
+    })
 
 
 def det_gauss(m):

@@ -387,10 +387,12 @@ def pstr(a, names):
         else:
             term = f"{_coeff_str(c)}*{mono}"
         parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
+    return signed_sum(parts)
+
+
+def signed_sum(parts):
+    """Join rendered terms with ' + ', or with ' - ' before a term that
+    starts with a minus sign."""
+    return parts[0] + "".join(
+        f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in parts[1:]
+    )

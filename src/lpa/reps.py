@@ -130,7 +130,7 @@ def emitter_module(g, field, v):
 @dataclass(frozen=True)
 class ModuleVector(fields.Combination):
     module: ModuleSpec
-    terms: tuple    # ((BasisVector, FieldElement), ...) sorted
+    terms: tuple    # ((BasisVector, payload), ...) sorted
 
     error = ModuleError
 
@@ -150,7 +150,7 @@ class ModuleVector(fields.Combination):
             return "0"
         bits = []
         for b, c in self.terms:
-            cs = fields.element_str(c)
+            cs = str(fields.FieldElement(self.field, c))
             head = "" if cs == "1" else f"{cs}*"
             bits.append(f"{head}{render_basis(b)}")
         return " + ".join(bits)
@@ -158,14 +158,12 @@ class ModuleVector(fields.Combination):
 
 def _vec(module, acc):
     """The vector of the sparse payload dict ``acc``."""
-    field = module.field
-    basis = sorted(acc, key=lambda b: b.sort_key())
-    return ModuleVector(module, tuple((b, fields.FieldElement(field, acc[b])) for b in basis))
+    return ModuleVector(module, tuple(sorted(acc.items(), key=lambda t: t[0].sort_key())))
 
 
 def basis_vector(module, b):
     _validate_basis(module, b)
-    return _vec(module, {b: fields.one(module.field).payload})
+    return _vec(module, {b: fields.int_payload(module.field, 1)})
 
 
 def _validate_basis(module, b):
@@ -251,12 +249,13 @@ def sigma_substitute(twist, x):
     if field.kind != "ext":
         raise ModuleError("the twist lives over an extension field")
     xb = fields.xbar(field)
-    xbinv = xb.inverse()
-    acc = {}
+    mul = field.ops[1]
+    terms = []
     for m, c in x.terms:
         k = m.lam.count(twist.edge) - m.nu.count(twist.edge)
-        acc[m] = c * (xb ** k if k >= 0 else xbinv ** (-k))
-    return algebra.element(x.graph, field, x.mode, acc)
+        terms.append((m, mul(c, (xb ** k).payload)))
+    # each coefficient times a unit: the same basis monomials, none dropped
+    return algebra.AlgebraElement(x.graph, field, x.mode, tuple(terms))
 
 
 def act(x, mv):
@@ -271,10 +270,8 @@ def act(x, mv):
     g = module.graph
     add, mul, _, zero = module.field.ops
     acc = {}
-    vec = [(b, k.payload) for b, k in mv.terms]
     for m, c in x.terms:
-        c = c.payload
-        for b, k in vec:
+        for b, k in mv.terms:
             out = _act_monomial(g, m, b)
             if out is not None:
                 fields.add_term(acc, out, mul(c, k), add, zero)

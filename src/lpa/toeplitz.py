@@ -136,7 +136,7 @@ def toeplitz_embed(x, N):
     g, field = x.graph, x.field
     if tuple(sorted(g.vertices)) != ("u", "v") or sorted(g.edge_map) != ["e", "f"]:
         raise ToeplitzError("toeplitz_embed expects the Toeplitz graph")
-    one = fields.one(field).payload
+    one = fields.int_payload(field, 1)
     images = {
         "u": linalg.finitary(field, {(i, i): one for i in range(2, N + 1)}),
         "v": linalg.finitary(field, {(1, 1): one}),
@@ -144,7 +144,7 @@ def toeplitz_embed(x, N):
         "f": linalg.finitary(field, {(2, 1): one}),
     }
     ghosts = {
-        name: linalg.finitary(field, {(j, i): c.payload for (i, j), c in m.terms})
+        name: linalg.finitary(field, {(j, i): c for (i, j), c in m.terms})
         for name, m in images.items()
     }
     return algebra.substitute(x, images, images, ghosts, fin_zero(field))

@@ -330,8 +330,8 @@ def algebra_product(x, y):
     FieldElement arithmetic."""
     g, field = x.graph, x.field
     acc = {}
-    for m1, c1 in x.terms:
-        for m2, c2 in y.terms:
+    for m1, c1 in coefficients(x).items():
+        for m2, c2 in coefficients(y).items():
             raw = algebra.mono_mul(g, m1, m2)
             if raw is None:
                 continue
@@ -354,13 +354,19 @@ def matrix_product(a, b):
     )
 
 
+def coefficients(x):
+    """The terms {key: FieldElement} of a linear combination, whose stored
+    terms hold raw payloads."""
+    return {key: fields.FieldElement(x.field, c) for key, c in x.terms}
+
+
 def linear_combination(field, *scaled):
     """The terms {key: FieldElement} of k1 x1 + k2 x2 + ... for ``(k, x)``
     pairs of a scalar and a combination, summed key by key in FieldElement
     arithmetic, zeros dropped."""
     acc = {}
     for k, x in scaled:
-        for key, c in x.terms:
+        for key, c in coefficients(x).items():
             acc[key] = acc.get(key, fields.zero(field)) + k * c
     return {key: c for key, c in acc.items() if not c.is_zero()}
 

@@ -298,8 +298,8 @@ def test_criterion_10_global_determinant(Q, Qt):
                 entries_v[(rng.randint(1, 6), rng.randint(1, 6))] = (
                     sampling.random_scalar(rng, Q, nonzero=True)
                 )
-            u = tp.AugmentedMatrix(tp.FinitaryMatrix(Q, tuple(sorted(entries_u.items()))))
-            v = tp.AugmentedMatrix(tp.FinitaryMatrix(Q, tuple(sorted(entries_v.items()))))
+            u = tp.AugmentedMatrix(linalg.finitary(Q, {p: c.payload for p, c in entries_u.items()}))
+            v = tp.AugmentedMatrix(linalg.finitary(Q, {p: c.payload for p, c in entries_v.items()}))
             du, dv = tp.global_det(u), tp.global_det(v)
             assert tp.global_det(u * v) == du * dv
             n = max(u.perturbation.support_bound, 1)

@@ -81,7 +81,7 @@ def test_roundtrip_on_corpus_of_expressions(graphs_by_name, Q):
     while count < 100:
         g = graphs_by_name[names[count % len(names)]]
         x = sampling.random_element(rng, g, Q)
-        assert all(fields.is_literal_scalar(c) for _, c in x.terms)
+        assert all(fields.is_literal_scalar(fields.FieldElement(Q, c)) for _, c in x.terms)
         text = algebra.render(x)
         again = parse(text, g, Q)
         assert again == x, text
@@ -131,6 +131,8 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
     ("nf", "--graph", "toeplitz", "--field", "F5[x]/(x^12+x+2)", "--expr", "xbar u"),
     ("free-gens", "--graph", "a3", "--witness", "line:a:2", "--alpha", "2"),
     ("free-gens", "--graph", "toeplitz", "--witness", "qsink:v:zz", "--alpha", "2"),
+    ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "2",
+     "--verify-len", "1000000000"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
@@ -160,6 +162,19 @@ def test_cli_analyze_complete_digraph_k7(tmp_path):
     assert out.returncode == 0, out.stderr[-500:]
     assert len(json.loads(out.stdout)["result"]["cycles"]) == 2365
     assert elapsed < 5, elapsed
+
+
+def test_cli_analyze_complete_digraph_k9_past_cycle_budget(tmp_path):
+    """K9 has 125,664 cycles, past graphs.MAX_CYCLES: refused at once."""
+    path = tmp_path / "k9.lpa"
+    path.write_text(complete_digraph(9))
+    started = time.perf_counter()
+    out = run_cli("analyze", "--graph", str(path), timeout=60)
+    elapsed = time.perf_counter() - started
+    assert out.returncode == 1, out.stderr[-500:]
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error (GraphError): graph 'K9' has more than")
+    assert elapsed < 1, elapsed
 
 
 def test_cli_large_prime_field():

@@ -148,6 +148,13 @@ def test_line_graph_pair(graphs_by_name, Q):
     assert report.all_nontrivial and report.matrix_crosscheck
 
 
+def test_word_budget(graphs_by_name, Q):
+    pair = fg.build_generators(graphs_by_name["toeplitz"], Q, fg.SinkEdge("f"), two(Q))
+    for L in (0, fg.MAX_VERIFY_LEN + 1):
+        with pytest.raises(ValueError):
+            fg.verify_free_up_to(pair, L)
+
+
 def test_witness_validation(graphs_by_name, Q):
     t = graphs_by_name["toeplitz"]
     with pytest.raises(fg.WitnessError):

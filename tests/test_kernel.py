@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from lpa import algebra, corpus, fields, linalg, polys, reps, sampling, toeplitz
+from lpa import algebra, cli, corpus, fields, linalg, polys, reps, sampling, toeplitz
 
 KERNEL_FIELDS = ["Q", "F7", "Q(t)", "F5(s,t)", "Q[x]/(x^2+1)"]
 
@@ -23,7 +23,8 @@ def test_algebra_product_matches_term_by_term_oracle(desc, mode):
         for _ in range(12):
             x = sampling.random_element(rng, g, K, mode, max_terms=4)
             y = sampling.random_element(rng, g, K, mode, max_terms=4)
-            assert dict((x * y).terms) == oracles.algebra_product(x, y), (name, str(x), str(y))
+            assert oracles.coefficients(x * y) == oracles.algebra_product(x, y), (
+                name, str(x), str(y))
 
 
 @pytest.mark.parametrize("desc", KERNEL_FIELDS)
@@ -145,10 +146,11 @@ def test_combination_core_matches_term_by_term_oracle(kind, error, desc):
     for _ in range(12):
         x, y = (_random_combination(kind, K, rng) for _ in range(2))
         k = sampling.random_scalar(rng, K)
-        assert dict((-x).terms) == oracles.linear_combination(K, (minus_one, x))
-        assert dict((x - y).terms) == oracles.linear_combination(K, (one, x), (minus_one, y))
-        assert dict((x + y).terms) == oracles.linear_combination(K, (one, x), (one, y))
-        assert dict(x.scale(k).terms) == oracles.linear_combination(K, (k, x))
+        assert oracles.coefficients(-x) == oracles.linear_combination(K, (minus_one, x))
+        assert oracles.coefficients(x - y) == oracles.linear_combination(
+            K, (one, x), (minus_one, y))
+        assert oracles.coefficients(x + y) == oracles.linear_combination(K, (one, x), (one, y))
+        assert oracles.coefficients(x.scale(k)) == oracles.linear_combination(K, (k, x))
         assert x.scale(zero).is_zero() and (x - x).is_zero()
         expect = oracles.linear_combination(K, (one, x))
         for key, _ in x.terms + y.terms:
@@ -238,3 +240,29 @@ def test_fraction_ops_named_cases():
     # (s^3 t + 2 s^2 t^2) / (3 s^2 t) = (s + 2t) / 3 = 2s + 4t over F5
     payload = fields._frac_make(F5st, s3t_2s2t2, {(2, 1): 3})
     assert payload == ((((1, 0), 2), ((0, 1), 4)), (((0, 0), 1),))
+
+
+# -- coefficients stay payloads inside every linear combination --------------
+
+
+def test_field_elements_built_do_not_grow_with_word_length(monkeypatch, capsys):
+    """Certifying longer words multiplies more algebra elements and matrices,
+    but their terms hold raw payloads: a FieldElement is built only where a
+    coefficient leaves a combination, so the count does not depend on L."""
+    built = [0]
+    init = fields.FieldElement.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(fields.FieldElement, "__init__", counting)
+    counts = []
+    for L in ("2", "4"):
+        built[0] = 0
+        argv = ["free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "2",
+                "--verify-len", L]
+        assert cli.main(argv) == 0
+        counts.append(built[0])
+    capsys.readouterr()
+    assert counts[0] == counts[1], counts

@@ -33,8 +33,8 @@ def test_fin_mul_vs_dense_oracle(Q, rng):
         for _ in range(4):
             entries_a[(rng.randint(1, 6), rng.randint(1, 6))] = sampling.random_scalar(rng, Q, nonzero=True)
             entries_b[(rng.randint(1, 6), rng.randint(1, 6))] = sampling.random_scalar(rng, Q, nonzero=True)
-        A = tp.FinitaryMatrix(Q, tuple(sorted(entries_a.items())))
-        B = tp.FinitaryMatrix(Q, tuple(sorted(entries_b.items())))
+        A = linalg.finitary(Q, {pos: c.payload for pos, c in entries_a.items()})
+        B = linalg.finitary(Q, {pos: c.payload for pos, c in entries_b.items()})
         assert (A * B).dense(6).rows == oracles.matrix_product(A.dense(6), B.dense(6))
         assert (A + B).dense(6) == A.dense(6) + B.dense(6)
 
@@ -57,7 +57,7 @@ def _random_aug(rng, field, support=6, entries=4):
         acc[(rng.randint(1, support), rng.randint(1, support))] = (
             sampling.random_scalar(rng, field, nonzero=True)
         )
-    return tp.AugmentedMatrix(tp.FinitaryMatrix(field, tuple(sorted(acc.items()))))
+    return tp.AugmentedMatrix(linalg.finitary(field, {pos: c.payload for pos, c in acc.items()}))
 
 
 def test_global_det_multiplicative_vs_cofactor_oracle(Q):
@@ -134,8 +134,8 @@ def test_embed_images(Q):
     assert tp.toeplitz_embed(f, 5) == unit(Q, 2, 1)
     assert tp.toeplitz_embed(algebra.star(f), 5) == unit(Q, 1, 2)
     u = algebra.vertex_element(g, Q, "u")
-    assert tp.toeplitz_embed(u, 4) == tp.FinitaryMatrix(
-        Q, tuple(((i, i), fields.one(Q)) for i in (2, 3, 4))
+    assert tp.toeplitz_embed(u, 4) == linalg.finitary(
+        Q, {(i, i): fields.one(Q).payload for i in (2, 3, 4)}
     )
 
 
