@@ -382,7 +382,7 @@ def _parse_vector(module, raw):
             if module.kind == "chen":
                 raise CliInputError("chen-module vectors need an @cycle tail")
             path = () if comps == (module.vertex,) else comps
-            b = (reps.SinkPath if module.kind == "sink" else reps.EmitterPath)(path, module.vertex)
+            b = reps.FinitePath(path, module.vertex)
         out = out + reps.basis_vector(module, b).scale(coef)
     return out
 
@@ -397,6 +397,8 @@ def _run_act(args, ctx):
 
 
 def _run_toeplitz(args, ctx):
+    if args.size > toeplitz.MAX_SIZE:
+        raise CliInputError(f"--size must be at most {toeplitz.MAX_SIZE}")
     field = ctx["field"]
     g = toeplitz.toeplitz_graph()
     x = exprs.parse_expr(args.expr, g, field, algebra.LEAVITT)

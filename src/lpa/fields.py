@@ -283,7 +283,7 @@ def extension(base, coeffs):
     f = _upoly(modulus)
     if not _squarefree(f, p):
         raise ReducibleModulusError(
-            f"extension modulus {_upoly_str(base, modulus, 'x')} is not squarefree"
+            f"extension modulus {polys.pstr(f, ('x',))} is not squarefree"
         )
     if p:
         reason = _check_irreducible_fp(p, f)
@@ -292,7 +292,7 @@ def extension(base, coeffs):
                 f"modulus {polys.pstr(f, ('x',))} factors over F_{p}: {reason}"
             )
     elif len(modulus) > 2:
-        _check_irreducible_q(base, modulus)
+        _check_irreducible_q(modulus)
     return FieldDescriptor("ext", p, base=base, modulus=modulus)
 
 
@@ -300,10 +300,10 @@ def _squarefree(f, p):
     """gcd(f, f') = 1 for a one-variable polynomial dict f over Q or F_p."""
     df = {(i - 1,): polys.cmul(c, polys.cfrom_int(i, p), p) for (i,), c in f.items() if i}
     df = {e: c for e, c in df.items() if c}
-    return polys.uegcd(f, df, p)[0] == {(0,): polys.cone(p)}
+    return polys.uegcd(f, df, p)[0] == {(0,): 1}
 
 
-def _check_irreducible_q(base, modulus):
+def _check_irreducible_q(modulus):
     """Refuse a Q modulus of degree >= 2 with a rational root, or one that is
     not proved irreducible.
 
@@ -315,7 +315,7 @@ def _check_irreducible_q(base, modulus):
     irreducible moduli have no such prime, x^4 + 1 among them, since it
     splits modulo every prime; they are refused.
     """
-    name = _upoly_str(base, modulus, "x")
+    name = polys.pstr(_upoly(modulus), ("x",))
     scale = math.lcm(*(c.denominator for c in modulus))
     a = [int(c * scale) for c in modulus]
     root, searched = _rational_root(a)
@@ -426,10 +426,6 @@ def _prime_factors(n):
     return out
 
 
-def characteristic(field):
-    return field.char
-
-
 def profile(field):
     """Characteristic plus the by-construction independent generators."""
     gens = []
@@ -453,7 +449,7 @@ def int_payload(field, n):
 
 def _one_poly_canon(field):
     n = len(field.variables)
-    return polys.pcanon({(0,) * n: polys.cone(field.char)})
+    return polys.pcanon({(0,) * n: 1})
 
 
 def zero(field):
@@ -489,7 +485,7 @@ def xbar(field):
         a0, a1 = field.modulus
         root = polys.cneg(polys.cmul(a0, polys.cinv(a1, p), p), p)
         return FieldElement(field, (root,) if root else ())
-    return FieldElement(field, (polys.czero(p), polys.cone(p)))
+    return FieldElement(field, (0, 1))
 
 
 def _frac_make(field, num, den):
@@ -506,16 +502,16 @@ def _frac_make(field, num, den):
         if any(m):
             num = {_shift(e, m): v for e, v in num.items()}
             d = _shift(d, m)
-        if c != polys.cone(p):
+        if c != 1:
             num = polys.pscale(num, polys.cinv(c, p), p)
-        return (polys.pcanon(num), ((d, polys.cone(p)),))
+        return (polys.pcanon(num), ((d, 1),))
     g = polys.pgcd(num, den, p)
     ge, gc = polys.plead(g)
-    if any(ge) or gc != polys.cone(p) or len(g) > 1:
+    if any(ge) or gc != 1 or len(g) > 1:
         num = polys.pdivexact(num, g, p)
         den = polys.pdivexact(den, g, p)
     _, lc = polys.plead(den)
-    if lc != polys.cone(p):
+    if lc != 1:
         inv = polys.cinv(lc, p)
         num = polys.pscale(num, inv, p)
         den = polys.pscale(den, inv, p)
@@ -546,20 +542,20 @@ def _add(field, a, b):
             d, e = a[1][0][0], b[1][0][0]
             top = tuple(map(max, d, e))
             num = polys.padd(_over(a[0], top, d), _over(b[0], top, e), p)
-            return _frac_make(field, num, {top: polys.cone(p)})
+            return _frac_make(field, num, {top: 1})
         an, ad = polys.pfrom_canon(a[0]), polys.pfrom_canon(a[1])
         bn, bd = polys.pfrom_canon(b[0]), polys.pfrom_canon(b[1])
         num = polys.padd(polys.pmul(an, bd, p), polys.pmul(bn, ad, p), p)
         den = polys.pmul(ad, bd, p)
         return _frac_make(field, num, den)
-    return _dense(polys.padd(_upoly(a), _upoly(b), field.char), field.char)
+    return _dense(polys.padd(_upoly(a), _upoly(b), field.char))
 
 
 def _neg(field, a):
     if field.kind == "fraction":
         p = field.char
         return (polys.pcanon(polys.pneg(polys.pfrom_canon(a[0]), p)), a[1])
-    return _dense(polys.pneg(_upoly(a), field.char), field.char)
+    return _dense(polys.pneg(_upoly(a), field.char))
 
 
 def _mul(field, a, b):
@@ -568,13 +564,13 @@ def _mul(field, a, b):
         num = polys.pmul(polys.pfrom_canon(a[0]), polys.pfrom_canon(b[0]), p)
         if len(a[1]) == 1 == len(b[1]):
             # monic monomial denominators x^d and x^e multiply to x^(d+e)
-            den = {tuple(map(operator.add, a[1][0][0], b[1][0][0])): polys.cone(p)}
+            den = {tuple(map(operator.add, a[1][0][0], b[1][0][0])): 1}
         else:
             den = polys.pmul(polys.pfrom_canon(a[1]), polys.pfrom_canon(b[1]), p)
         return _frac_make(field, num, den)
     p = field.char
     prod = polys.pmul(_upoly(a), _upoly(b), p)
-    return _dense(polys.urem(prod, _upoly(field.modulus), p), p)
+    return _dense(polys.urem(prod, _upoly(field.modulus), p))
 
 
 def _inv(field, a):
@@ -588,11 +584,11 @@ def _inv(field, a):
     # extended gcd of the residue against the modulus
     p = field.char
     g, inv = polys.uegcd(_upoly(a), _upoly(field.modulus), p)
-    if g != {(0,): polys.cone(p)}:
+    if g != {(0,): 1}:
         raise ReducibleModulusError(
             "nonzero residue is not invertible: the extension modulus is reducible"
         )
-    return _dense(inv, p)
+    return _dense(inv)
 
 
 def _payload_ops(field):
@@ -612,11 +608,10 @@ def _upoly(t):
     return {(i,): c for i, c in enumerate(t) if c}
 
 
-def _dense(a, p):
+def _dense(a):
     if not a:
         return ()
-    z = polys.czero(p)
-    out = [z] * (max(a)[0] + 1)
+    out = [0] * (max(a)[0] + 1)
     for (i,), c in a.items():
         out[i] = c
     return tuple(out)
@@ -643,7 +638,12 @@ def parse_descriptor(text):
     if m.group("ext"):
         if base.kind == "fraction":
             raise FieldError("extension of a function field is not supported in descriptors")
-        coeffs = _parse_upoly(m.group("mod"), m.group("ext"), base)
+        try:
+            coeffs = _parse_upoly(m.group("mod"), m.group("ext"), base)
+        except ZeroDivisionError:
+            raise FieldError(
+                f"zero denominator in modulus {m.group('mod')!r} over {base}"
+            ) from None
         base = extension(base, coeffs)
     return base
 
@@ -719,32 +719,8 @@ def descriptor_str(field):
         return f"F{field.char}"
     if field.kind == "fraction":
         return f"{descriptor_str(field.base)}({','.join(field.variables)})"
-    mod = _upoly_str(field.base, field.modulus, "x")
+    mod = polys.pstr(_upoly(field.modulus), ("x",))
     return f"{descriptor_str(field.base)}[x]/({mod})"
-
-
-def _upoly_str(base, t, varname):
-    if not t:
-        return "0"
-    parts = []
-    for i in range(len(t) - 1, -1, -1):
-        c = FieldElement(base, t[i])
-        if c.is_zero():
-            continue
-        cs = element_str(c)
-        if i == 0:
-            parts.append(cs)
-        else:
-            head = varname if i == 1 else f"{varname}^{i}"
-            if cs == "1":
-                parts.append(head)
-            elif cs == "-1":
-                parts.append(f"-{head}")
-            elif re.match(r"^-?\d+(/\d+)?$", cs):
-                parts.append(f"{cs}*{head}")
-            else:
-                parts.append(f"({cs})*{head}")
-    return polys.signed_sum(parts)
 
 
 def element_str(x):
@@ -761,7 +737,7 @@ def element_str(x):
         if len(num) > 1:
             ns = f"({ns})"
         return f"{ns}/({ds})"
-    return _upoly_str(field.base, payload, "xbar")
+    return polys.pstr(_upoly(payload), ("xbar",))
 
 
 def is_literal_scalar(x):

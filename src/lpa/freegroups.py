@@ -291,9 +291,7 @@ def _corner_image(module, b1, b2, x):
 def _sink_corner(g, field, fe, x):
     w = g.range(fe)
     module = reps.sink_module(g, field, w)
-    return _corner_image(
-        module, reps.SinkPath((fe,), w), reps.SinkPath((), w), x
-    )
+    return _corner_image(module, reps.FinitePath((fe,), w), reps.FinitePath((), w), x)
 
 
 def element_image(pair, x):
@@ -361,7 +359,8 @@ def verify_free_up_to(pair, L):
         "c", "d", "c^-1", "d^-1"
     )
     alg = (pair.a, pair.b, pair.a_inv, pair.b_inv)
-    mat = matrix_images(pair)
+    pm = pair.matrices
+    mat = (pm.a, pm.b, pm.a_inv, pm.b_inv)
     inverse_of = (2, 3, 0, 1)
     one_alg = algebra.identity(pair.graph, pair.field)
     one_mat = linalg.identity_matrix(pair.field, mat[0].n)
@@ -398,7 +397,7 @@ def verify_free_up_to(pair, L):
 
 # -- witness search ----------------------------------------------------------------
 
-def find_witness(g, spec=None, preferred=None):
+def find_witness(g, spec=None):
     """Enumerate the free-pair witnesses the graph supports."""
     out = []
     for e in g.edges:
@@ -434,10 +433,6 @@ def find_witness(g, spec=None, preferred=None):
     if line is not None:
         n = len(line[0])
         out += [LineGraph(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    if preferred is not None:
-        ranked = [w for w in out if isinstance(w, preferred)]
-        ranked += [w for w in out if not isinstance(w, preferred)]
-        out = ranked
     return out
 
 

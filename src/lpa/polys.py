@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Exps = tuple
-Poly = dict
-
 
 class NotDivisibleError(ArithmeticError):
     pass
@@ -28,14 +25,6 @@ def _qnorm(x):
     if type(x) is int:
         return x
     return x.numerator if x.denominator == 1 else x
-
-
-def czero(p):
-    return 0
-
-
-def cone(p):
-    return 1
 
 
 def cadd(a, b, p):
@@ -81,7 +70,7 @@ def pconst(c, nvars, p):
 def pvar(i, nvars, p):
     e = [0] * nvars
     e[i] = 1
-    return {tuple(e): cone(p)}
+    return {tuple(e): 1}
 
 
 def pis_const(a):
@@ -91,7 +80,7 @@ def pis_const(a):
 def padd(a, b, p):
     out = dict(a)
     for e, c in b.items():
-        s = cadd(out.get(e, czero(p)), c, p)
+        s = cadd(out.get(e, 0), c, p)
         if s:
             out[e] = s
         else:
@@ -112,7 +101,7 @@ def pmul(a, b, p):
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            s = cadd(out.get(e, czero(p)), cmul(ca, cb, p), p)
+            s = cadd(out.get(e, 0), cmul(ca, cb, p), p)
             if s:
                 out[e] = s
             else:
@@ -140,7 +129,7 @@ def pmonic(a, p):
     if not a:
         return a
     _, lc = plead(a)
-    if lc == cone(p):
+    if lc == 1:
         return a
     return pscale(a, cinv(lc, p), p)
 
@@ -164,7 +153,7 @@ def pdivexact(a, b, p):
         q[diff] = c
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(diff, e2))
-            s = csub(r.get(e, czero(p)), cmul(c, c2, p), p)
+            s = csub(r.get(e, 0), cmul(c, c2, p), p)
             if s:
                 r[e] = s
             else:
@@ -237,7 +226,7 @@ def _prem(A, B, p):
 
 
 def _coeff_pow(base, k, p, nv):
-    out = {(0,) * nv: cone(p)}
+    out = {(0,) * nv: 1}
     for _ in range(k):
         out = pmul(out, base, p)
     return out
@@ -251,7 +240,7 @@ def _gcd_rec(a, b, p):
         return a
     nvars = len(next(iter(a)))
     if nvars == 0:
-        return {(): cone(p)}
+        return {(): 1}
     if nvars == 1:
         # univariate over a field: plain Euclid
         while b:
@@ -272,7 +261,7 @@ def _gcd_rec(a, b, p):
     # subresultant pseudo-remainder sequence: only exact divisions inside
     # the loop, so coefficients stay subresultant-sized
     nv = nvars - 1
-    g = {(0,) * nv: cone(p)}
+    g = {(0,) * nv: 1}
     h = dict(g)
     while True:
         delta = max(A) - max(B)
@@ -312,7 +301,7 @@ def udivmod(a, b, p):
         q[(shift,)] = c
         for e2, c2 in b.items():
             e = (e2[0] + shift,)
-            s = csub(r.get(e, czero(p)), cmul(c, c2, p), p)
+            s = csub(r.get(e, 0), cmul(c, c2, p), p)
             if s:
                 r[e] = s
             else:
@@ -328,7 +317,7 @@ def urem(a, b, p):
 def uegcd(a, b, p):
     """Monic gcd g of univariate a and b, and s with s*a = g mod b."""
     r0, r1 = a, b
-    s0, s1 = {(0,): cone(p)}, {}
+    s0, s1 = {(0,): 1}, {}
     while r1:
         q, r = udivmod(r0, r1, p)
         r0, r1 = r1, r
@@ -350,7 +339,7 @@ def pgcd(a, b, p):
         mina = [min(e[i] for e in a) for i in range(len(next(iter(a))))]
         minb = [min(e[i] for e in b) for i in range(len(next(iter(b))))]
         e = tuple(min(x, y) for x, y in zip(mina, minb))
-        return {e: cone(p)}
+        return {e: 1}
     return pmonic(_gcd_rec(a, b, p), p)
 
 
@@ -365,10 +354,6 @@ def pfrom_canon(t):
     return dict(t)
 
 
-def _coeff_str(c):
-    return str(c)
-
-
 def pstr(a, names):
     """Render deterministically, grlex-descending, e.g. '2*s^2*t - 1/3'."""
     if not a:
@@ -379,13 +364,13 @@ def pstr(a, names):
             n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k
         )
         if not mono:
-            term = _coeff_str(c)
+            term = str(c)
         elif c == 1:
             term = mono
         elif c == -1:
             term = "-" + mono
         else:
-            term = f"{_coeff_str(c)}*{mono}"
+            term = f"{c}*{mono}"
         parts.append(term)
     return signed_sum(parts)
 

@@ -1,10 +1,10 @@
 """Simple-module actions on symbolic path bases.
 
-Three basis-vector flavors: eventually periodic infinite paths (prefix plus a
-rotated cycle tail), finite paths into a sink, and finite paths into an
-infinite emitter.  The generator action is prepend / strip-from-the-front;
-a ghost edge that cannot be stripped acts as zero, which covers the sink and
-bare-emitter special cases uniformly.
+Two basis-vector flavors: eventually periodic infinite paths (prefix plus a
+rotated cycle tail), and finite paths into the module's vertex, which is a
+sink or an infinite emitter.  The generator action is prepend /
+strip-from-the-front; a ghost edge that cannot be stripped acts as zero,
+which covers the sink and bare-emitter special cases uniformly.
 """
 
 from __future__ import annotations
@@ -41,27 +41,17 @@ class RationalTail:
 
 
 @dataclass(frozen=True)
-class SinkPath:
+class FinitePath:
+    """A finite path ending at ``end``, a sink or an infinite emitter; the
+    empty path is the vertex ``end`` itself."""
     path: tuple
-    sink: str
+    end: str
 
     def sort_key(self):
         return (len(self.path), self.path)
 
     def start(self, g):
-        return g.edge_map[self.path[0]].src if self.path else self.sink
-
-
-@dataclass(frozen=True)
-class EmitterPath:
-    path: tuple
-    emitter: str
-
-    def sort_key(self):
-        return (len(self.path), self.path)
-
-    def start(self, g):
-        return g.edge_map[self.path[0]].src if self.path else self.emitter
+        return g.edge_map[self.path[0]].src if self.path else self.end
 
 
 def canonicalize_rational(g, prefix, cycle, phase):
@@ -179,9 +169,8 @@ def _validate_basis(module, b):
         ):
             raise ModuleError("tail does not belong to this module's class")
     else:
-        kind = module.kind      # "sink" or "emitter", also the end's attribute
-        cls = SinkPath if kind == "sink" else EmitterPath
-        if not isinstance(b, cls) or getattr(b, kind) != module.vertex:
+        kind = module.kind      # "sink" or "emitter"
+        if not isinstance(b, FinitePath) or b.end != module.vertex:
             raise ModuleError(f"vector does not belong to this {kind} module")
         if b.path and graphs.path_range(g, graphs.make_path(g, b.path)) != module.vertex:
             raise ModuleError(f"path does not end at the {kind}")
@@ -193,8 +182,7 @@ def render_basis(b):
         if b.prefix:
             return ".".join(b.prefix) + "." + tail
         return tail
-    head = ".".join(b.path) if b.path else (b.sink if isinstance(b, SinkPath) else b.emitter)
-    return head
+    return ".".join(b.path) if b.path else b.end
 
 
 # -- the action -------------------------------------------------------------
@@ -211,9 +199,7 @@ def _strip_edge(g, b, e):
         return RationalTail((), b.cycle, (b.phase + 1) % len(b.cycle))
     if not b.path or b.path[0] != e:
         return None
-    if isinstance(b, SinkPath):
-        return SinkPath(b.path[1:], b.sink)
-    return EmitterPath(b.path[1:], b.emitter)
+    return FinitePath(b.path[1:], b.end)
 
 
 def _prepend_edge(g, b, e):
@@ -221,9 +207,7 @@ def _prepend_edge(g, b, e):
         return None
     if isinstance(b, RationalTail):
         return canonicalize_rational(g, (e,) + b.prefix, b.cycle, b.phase)
-    if isinstance(b, SinkPath):
-        return SinkPath((e,) + b.path, b.sink)
-    return EmitterPath((e,) + b.path, b.emitter)
+    return FinitePath((e,) + b.path, b.end)
 
 
 def _act_monomial(g, m, b):
@@ -282,50 +266,25 @@ def act(x, mv):
 
 def sample_basis(module, count):
     """Deterministic breadth-first sample of basis vectors (all of them when
-    fewer than ``count`` exist up to the traversal bound)."""
+    fewer than ``count`` exist up to the traversal bound): from the module's
+    roots, prepend every edge into each vector's start vertex."""
     g = module.graph
-    out = []
     if module.kind == "chen":
-        c = graphs.make_cycle(g, module.cycle)
-        n = len(c.edges)
-        seen = set()
-        frontier = []
-        for k in range(n):
-            b = canonicalize_rational(g, (), c.edges, k)
-            if b not in seen:
-                seen.add(b)
-                out.append(b)
-                frontier.append(b)
-        while frontier and len(out) < count:
-            nxt = []
-            for b in frontier:
-                for e in g.edges:
-                    if e.dst != b.start(g):
-                        continue
-                    nb = canonicalize_rational(g, (e.name,) + b.prefix, b.cycle, b.phase)
-                    if nb not in seen:
-                        seen.add(nb)
-                        out.append(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        return out[:count]
-    root_vertex = module.vertex
-    make = (
-        (lambda p: SinkPath(p, root_vertex))
-        if module.kind == "sink"
-        else (lambda p: EmitterPath(p, root_vertex))
-    )
-    frontier = [()]
-    out.append(make(()))
+        roots = [canonicalize_rational(g, (), module.cycle, k) for k in range(len(module.cycle))]
+    else:
+        roots = [FinitePath((), module.vertex)]
+    out = list(roots)
+    seen = set(roots)
+    frontier = roots
     while frontier and len(out) < count:
         nxt = []
-        for path in frontier:
-            head = g.edge_map[path[0]].src if path else root_vertex
-            for e in g.edges:
-                if e.dst == head:
-                    p = (e.name,) + path
-                    out.append(make(p))
-                    nxt.append(p)
+        for b in frontier:
+            for e in g.in_edges[b.start(g)]:
+                nb = _prepend_edge(g, b, e)
+                if nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        out += nxt
         frontier = nxt
     return out[:count]
 

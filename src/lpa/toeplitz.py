@@ -123,6 +123,11 @@ def toeplitz_matrix_units(i, j, field, g=None):
     return power(Y, i - 1) * power(X, j - 1) - power(Y, i) * power(X, j)
 
 
+# the largest truncation: `--det` eliminates on the dense N x N corner, so its
+# cost grows with the cube of N
+MAX_SIZE = 500
+
+
 def toeplitz_embed(x, N):
     """Truncate the row/column-finite realization at N.
 
@@ -133,6 +138,8 @@ def toeplitz_embed(x, N):
     """
     if N < 2:
         raise ToeplitzError("embedding needs N >= 2")
+    if N > MAX_SIZE:
+        raise ToeplitzError(f"embedding size must be at most {MAX_SIZE}")
     g, field = x.graph, x.field
     if tuple(sorted(g.vertices)) != ("u", "v") or sorted(g.edge_map) != ["e", "f"]:
         raise ToeplitzError("toeplitz_embed expects the Toeplitz graph")

@@ -7,15 +7,16 @@ closed-walk cycle enumeration, multiplication matrices of simple field
 extensions, term-by-term and row-by-column products in ``FieldElement``
 arithmetic for the payload kernels of the algebra and matrix products and
 of the shared linear-combination core, function-field fractions reduced by
-the general gcd for every denominator, and the recursive and pairwise graph
-walks that the iterative ones replaced.
+the general gcd for every denominator, the recursive and pairwise graph
+walks that the iterative ones replaced, and the two-branch module basis
+sampler that scans every edge of the graph.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lpa import algebra, fields, graphs, polys
+from lpa import algebra, fields, graphs, polys, reps
 
 # symbols: ("v", name) | ("e", name) | ("g", name)  (g = ghost edge)
 
@@ -399,3 +400,52 @@ def frac_mul(p, a, b):
 
 def frac_inv(p, a):
     return frac_reduce(p, dict(a[1]), dict(a[0]))
+
+
+# -- module bases --------------------------------------------------------------
+
+
+def sample_basis(module, count):
+    """Breadth-first basis sample: rational tails from the rotations of the
+    cycle, or finite paths from the module's vertex, each step prepending
+    every edge of ``g.edges`` that enters the current start vertex."""
+    g = module.graph
+    out = []
+    if module.kind == "chen":
+        c = graphs.make_cycle(g, module.cycle)
+        n = len(c.edges)
+        seen = set()
+        frontier = []
+        for k in range(n):
+            b = reps.canonicalize_rational(g, (), c.edges, k)
+            if b not in seen:
+                seen.add(b)
+                out.append(b)
+                frontier.append(b)
+        while frontier and len(out) < count:
+            nxt = []
+            for b in frontier:
+                for e in g.edges:
+                    if e.dst != b.start(g):
+                        continue
+                    nb = reps.canonicalize_rational(g, (e.name,) + b.prefix, b.cycle, b.phase)
+                    if nb not in seen:
+                        seen.add(nb)
+                        out.append(nb)
+                        nxt.append(nb)
+            frontier = nxt
+        return out[:count]
+    root_vertex = module.vertex
+    frontier = [()]
+    out.append(reps.FinitePath((), root_vertex))
+    while frontier and len(out) < count:
+        nxt = []
+        for path in frontier:
+            head = g.edge_map[path[0]].src if path else root_vertex
+            for e in g.edges:
+                if e.dst == head:
+                    p = (e.name,) + path
+                    out.append(reps.FinitePath(p, root_vertex))
+                    nxt.append(p)
+        frontier = nxt
+    return out[:count]

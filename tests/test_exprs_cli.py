@@ -133,12 +133,26 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
     ("free-gens", "--graph", "toeplitz", "--witness", "qsink:v:zz", "--alpha", "2"),
     ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "2",
      "--verify-len", "1000000000"),
+    ("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^2+1/0)", "--expr", "u"),
+    ("nf", "--graph", "toeplitz", "--field", "F7[x]/(x^2+3/7)", "--expr", "u"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error (")
+
+
+def test_cli_toeplitz_size_budget():
+    """Past toeplitz.MAX_SIZE the embedding is refused at once (exit 2);
+    below 2 it is a domain error (exit 1)."""
+    started = time.perf_counter()
+    out = run_cli("toeplitz", "--expr", "u + e", "--size", "501", "--det", timeout=60)
+    elapsed = time.perf_counter() - started
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error (CliInputError): --size must be at most 500")
+    assert elapsed < 1, elapsed
+    assert run_cli("toeplitz", "--expr", "u", "--size", "1").returncode == 1
 
 
 @pytest.mark.parametrize("argv", [

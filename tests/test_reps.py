@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from conftest import gens
 from lpa import algebra, fields, graphs, ideals, reps, sampling
 from test_algebra import relation_differences
@@ -141,12 +142,12 @@ def test_sink_module(graphs_by_name, Q):
     t = graphs_by_name["toeplitz"]
     N = reps.sink_module(t, Q, "v")
     G = gens(t, Q)
-    w0 = reps.basis_vector(N, reps.SinkPath((), "v"))
+    w0 = reps.basis_vector(N, reps.FinitePath((), "v"))
     # ghost edges kill the bare sink vector
     assert reps.act(G["e*"], w0).is_zero()
     assert reps.act(G["f*"], w0).is_zero()
     fpath = reps.act(G["f"], w0)
-    assert fpath == reps.basis_vector(N, reps.SinkPath(("f",), "v"))
+    assert fpath == reps.basis_vector(N, reps.FinitePath(("f",), "v"))
     assert reps.act(G["f*"], fpath) == w0
     with pytest.raises(reps.ModuleError):
         reps.sink_module(t, Q, "u")
@@ -155,19 +156,37 @@ def test_sink_module(graphs_by_name, Q):
 def test_emitter_module(graphs_by_name, Q):
     g = graphs_by_name["ex11"]
     S = reps.emitter_module(g, Q, "v")
-    v0 = reps.basis_vector(S, reps.EmitterPath((), "v"))
+    v0 = reps.basis_vector(S, reps.FinitePath((), "v"))
     G = gens(g, Q)
     # S_{e*}(v) = 0 at the bare vertex
     for e in g.edge_map:
         assert reps.act(G[e + "*"], v0).is_zero()
     assert reps.act(G["v"], v0) == v0
     # ex11's v has no incoming edges: the basis is just {v}
-    assert reps.sample_basis(S, 50) == [reps.EmitterPath((), "v")]
+    assert reps.sample_basis(S, 50) == [reps.FinitePath((), "v")]
     with pytest.raises(reps.ModuleError):
         reps.emitter_module(g, Q, "v3")
     # a richer emitter module: w also receives f, g, h
     Sw = reps.emitter_module(g, Q, "w")
     assert len(reps.sample_basis(Sw, 12)) == 12
+
+
+def test_sample_basis_matches_two_branch_oracle(graphs_by_name, Q, Qi):
+    """One breadth-first walk over in-edges samples every module kind as the
+    separate rational-tail and finite-path walks over all edges did."""
+    modules = [reps.chen_module(graphs_by_name["toeplitz"], Qi, ("e",), twist_edge="e")]
+    for g in graphs_by_name.values():
+        modules += [reps.chen_module(g, Q, c) for c in g.cycles]
+        for v in g.vertices:
+            kind = graphs.classify_vertex(g, v)
+            if kind == graphs.SINK:
+                modules.append(reps.sink_module(g, Q, v))
+            elif kind == graphs.INFINITE_EMITTER:
+                modules.append(reps.emitter_module(g, Q, v))
+    assert {m.kind for m in modules} == {"chen", "sink", "emitter"}
+    for module in modules:
+        for count in (1, 5, 50):
+            assert reps.sample_basis(module, count) == oracles.sample_basis(module, count)
 
 
 def test_twist_is_an_automorphism(graphs_by_name, Qi):

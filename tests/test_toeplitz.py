@@ -179,6 +179,8 @@ def test_embed_rejects_small_or_foreign(Q, graphs_by_name):
     g = tp.toeplitz_graph()
     with pytest.raises(tp.ToeplitzError):
         tp.toeplitz_embed(algebra.identity(g, Q), 1)
+    with pytest.raises(tp.ToeplitzError):
+        tp.toeplitz_embed(algebra.identity(g, Q), tp.MAX_SIZE + 1)
     other = graphs_by_name["a3"]
     with pytest.raises(tp.ToeplitzError):
         tp.toeplitz_embed(algebra.identity(other, Q), 6)
