@@ -1,6 +1,6 @@
 """Exact symbolic computation in Leavitt and Cohn path algebras."""
 
-from . import algebra, corpus, exprs, fields, freegroups, graphs, ideals, linalg, polys, reps, sampling, toeplitz
+from . import algebra, corpus, exprs, fields, freegroups, graphs, ideals, linalg, polys, reps, toeplitz
 
 __all__ = [
     "algebra",
@@ -13,6 +13,5 @@ __all__ = [
     "linalg",
     "polys",
     "reps",
-    "sampling",
     "toeplitz",
 ]

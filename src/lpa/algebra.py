@@ -15,7 +15,7 @@ elements is equality of stored terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import fields, graphs, polys
 
@@ -132,22 +132,51 @@ class AlgebraElement(fields.Combination):
     def _make(self, acc):
         return _assemble(self.graph, self.field, self.mode, acc)
 
-    def __mul__(self, other):
-        self._check(other)
-        g, field = self.graph, self.field
-        add, mul, _, zero = field.ops
-        acc = {}
-        leavitt = self.mode == LEAVITT
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
+    @cached_property
+    def _by_source(self):
+        """The terms grouped by the source of their monomial: ``m1 * m2``
+        can be nonzero only when m2 starts where m1 ends."""
+        g = self.graph
+        out = {}
+        for m, c in self.terms:
+            out.setdefault(mono_source(g, m), []).append((m, c))
+        return out
+
+    @cached_property
+    def _rows(self):
+        """Memo of ``_row``, kept on the right operand of products."""
+        return {}
+
+    def _row(self, m1):
+        """``m1 * self`` as reduced ``(monomial, nonzero payload)`` pairs,
+        computed once per left monomial m1."""
+        row = self._rows.get(m1)
+        if row is None:
+            g, field = self.graph, self.field
+            add, _, _, zero = field.ops
+            leavitt = self.mode == LEAVITT
+            acc = {}
+            for m2, c2 in self._by_source.get(mono_range(g, m1), ()):
                 raw = mono_mul(g, m1, m2)
                 if raw is None:
                     continue
                 if leavitt:
-                    _add_reduced(acc, g, field, raw, mul(c1, c2))
+                    _add_reduced(acc, g, field, raw, c2)
                 else:
-                    fields.add_term(acc, raw, mul(c1, c2), add, zero)
-        return _assemble(g, field, self.mode, acc)
+                    fields.add_term(acc, raw, c2, add, zero)
+            row = self._rows[m1] = tuple(acc.items())
+        return row
+
+    def __mul__(self, other):
+        """Sum of ``c1 * (m1 * other)`` over the terms of self, each row
+        ``m1 * other`` memoized on other."""
+        self._check(other)
+        add, mul, _, zero = self.field.ops
+        acc = {}
+        for m1, c1 in self.terms:
+            for m3, c in other._row(m1):
+                fields.add_term(acc, m3, mul(c1, c), add, zero)
+        return _assemble(self.graph, self.field, self.mode, acc)
 
     def __str__(self):
         return render(self)

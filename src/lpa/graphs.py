@@ -100,6 +100,14 @@ class Graph:
         """The number of listed cycles through each vertex."""
         return Counter(v for c in self.cycles for v in c.vertices(self))
 
+    @cached_property
+    def _hash(self):
+        return hash((self.name, self.vertices, self.edges, self.bundles, self.order))
+
+    def __hash__(self):
+        # hashed once: every Leavitt rewrite lookup keys on the graph
+        return self._hash
+
     def require_vertex(self, v):
         if v not in self.successors:
             raise GraphError(f"unknown vertex {v!r} in graph {self.name!r}")

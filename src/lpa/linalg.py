@@ -1,10 +1,11 @@
 """Exact sparse matrices of field payloads: finitary matrices over an
 N x N array and n x n matrices, with one product on raw payloads through the
-field's ``ops``, and the two determinants."""
+field's ``ops``, and the Gauss determinant."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import fields
 
@@ -38,15 +39,21 @@ class FinitaryMatrix(fields.Combination):
     def entry(self, i, j):
         return self.coeff((i, j))
 
+    @cached_property
+    def _row_index(self):
+        """Row i -> [(j, payload)], read when this matrix is a right factor."""
+        rows = {}
+        for (i, j), c in self.terms:
+            rows.setdefault(i, []).append((j, c))
+        return rows
+
     def __mul__(self, other):
         self._check(other)
         add, mul, _, zero = self.field.ops
-        cols = {}
-        for (i, j), c in other.terms:
-            cols.setdefault(i, []).append((j, c))
+        rows = other._row_index
         acc = {}
         for (i, k), a in self.terms:
-            for j, b in cols.get(k, ()):
+            for j, b in rows.get(k, ()):
                 fields.add_term(acc, (i, j), mul(a, b), add, zero)
         return self._make(acc)
 
@@ -166,23 +173,3 @@ def det_gauss(m):
             for c in range(col, n):
                 rows[r][c] = rows[r][c] - factor * rows[col][c]
     return det
-
-
-def det_cofactor(m):
-    """Cofactor-expansion determinant; the independent (slow) oracle."""
-    n = m.n
-    field = m.field
-    if n == 0:
-        return fields.one(field)
-    rows = m.rows
-    if n == 1:
-        return rows[0][0]
-    total = fields.zero(field)
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        minor = from_rows(field, (row[:j] + row[j + 1:] for row in rows[1:]))
-        term = a * det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total

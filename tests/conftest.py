@@ -49,6 +49,12 @@ def complete_digraph(n):
             + "".join(f"edge e{k} {a} {b}\n" for k, (a, b) in enumerate(edges, 1)))
 
 
+def line_text(n):
+    """Graph text of the line v1 -> v2 -> ... -> vn."""
+    return (f"graph a{n}\n" + "".join(f"vertex v{i}\n" for i in range(1, n + 1))
+            + "".join(f"edge e{i} v{i} v{i + 1}\n" for i in range(1, n)))
+
+
 def gens(g, field, mode=algebra.LEAVITT):
     """Convenience bundle: identity, vertices, edges, ghosts."""
     out = {"1": algebra.identity(g, field, mode)}

@@ -6,17 +6,17 @@ order, transitive-closure reachability, subset-enumeration closure,
 closed-walk cycle enumeration, multiplication matrices of simple field
 extensions, term-by-term and row-by-column products in ``FieldElement``
 arithmetic for the payload kernels of the algebra and matrix products and
-of the shared linear-combination core, function-field fractions reduced by
-the general gcd for every denominator, the recursive and pairwise graph
-walks that the iterative ones replaced, and the two-branch module basis
-sampler that scans every edge of the graph.
+of the shared linear-combination core, the cofactor determinant,
+function-field fractions reduced by the general gcd for every denominator,
+the recursive and pairwise graph walks that the iterative ones replaced, and
+the two-branch module basis sampler that scans every edge of the graph.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lpa import algebra, fields, graphs, polys, reps
+from lpa import algebra, fields, graphs, linalg, polys, reps
 
 # symbols: ("v", name) | ("e", name) | ("g", name)  (g = ghost edge)
 
@@ -353,6 +353,27 @@ def matrix_product(a, b):
         )
         for i in range(n)
     )
+
+
+def det_cofactor(m):
+    """The determinant of an n x n matrix by cofactor expansion along the
+    first row."""
+    n = m.n
+    field = m.field
+    if n == 0:
+        return fields.one(field)
+    rows = m.rows
+    if n == 1:
+        return rows[0][0]
+    total = fields.zero(field)
+    for j in range(n):
+        a = rows[0][j]
+        if a.is_zero():
+            continue
+        minor = linalg.from_rows(field, (row[:j] + row[j + 1:] for row in rows[1:]))
+        term = a * det_cofactor(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def coefficients(x):

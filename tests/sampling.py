@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import algebra, fields
+from lpa import algebra, fields
 
 
 def random_scalar(rng, field, nonzero=False):
@@ -42,7 +42,6 @@ def _scalar_once(rng, field):
 
 
 def _lift(field, base_elem):
-    out = fields.zero(field)
     payload = (base_elem.payload,) if not base_elem.is_zero() else ()
     return fields.FieldElement(field, payload)
 

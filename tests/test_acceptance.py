@@ -6,6 +6,7 @@ import random
 import time
 
 import oracles
+import sampling
 from lpa import (
     algebra,
     fields,
@@ -14,7 +15,6 @@ from lpa import (
     ideals,
     linalg,
     reps,
-    sampling,
     toeplitz as tp,
 )
 from test_algebra import relation_differences
@@ -303,7 +303,7 @@ def test_criterion_10_global_determinant(Q, Qt):
             du, dv = tp.global_det(u), tp.global_det(v)
             assert tp.global_det(u * v) == du * dv
             n = max(u.perturbation.support_bound, 1)
-            assert du == linalg.det_cofactor(u.dense(n))
+            assert du == oracles.det_cofactor(u.dense(n))
         # unitriangular samples lie in SL
         for _ in range(20):
             i = rng.randint(1, 5)

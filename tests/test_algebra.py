@@ -5,8 +5,9 @@ import random
 import pytest
 
 import oracles
+import sampling
 from conftest import gens
-from lpa import algebra, fields, graphs, sampling
+from lpa import algebra, fields, graphs
 
 
 def relation_differences(g, field, mode):

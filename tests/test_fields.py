@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lpa import fields
-from lpa.sampling import random_scalar
+from sampling import random_scalar
 import random
 
 

@@ -372,7 +372,7 @@ def test_line_graph_iso(Q):
 
 
 def test_iso_is_multiplicative(Q, rng):
-    from lpa import sampling
+    import sampling
 
     iso = fg.line_graph_iso(4, Q)
     g = iso.graph

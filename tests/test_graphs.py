@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import complete_digraph
-from lpa import cli, freegroups, graphs
+from lpa import algebra, cli, freegroups, graphs
 
 
 def test_parse_toeplitz(graphs_by_name):
@@ -256,3 +256,20 @@ def test_cycle_rotation():
     assert not graphs.same_cycle(
         graphs.make_cycle(other, ["x"]), graphs.make_cycle(other, ["y"])
     )
+
+
+def test_equal_parses_hash_equal_and_share_a_rewrite_entry():
+    """Graph equality is structural, and the hash, computed once per graph,
+    agrees with it: the Leavitt rewrite cache keyed on a second parse of the
+    same text hits the first parse's entry."""
+    text = "graph twin\nvertex u\nvertex v\nedge e u u\nedge f u v\n"
+    g1, g2 = graphs.parse_graph(text), graphs.parse_graph(text)
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    assert hash(g1) != hash(graphs.parse_graph(text.replace("twin", "other")))
+    m = algebra.Monomial(("f",), ("f",), "v")     # f is u's maximal out-edge
+    first = algebra._reduce_leavitt(g1, m)
+    assert len(first) == 2
+    before = algebra._reduce_leavitt.cache_info()
+    assert algebra._reduce_leavitt(g2, m) == first
+    after = algebra._reduce_leavitt.cache_info()
+    assert after.hits == before.hits + 1 and after.currsize == before.currsize

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from lpa import algebra, fields, graphs, ideals, sampling
+import sampling
+from lpa import algebra, fields, graphs, ideals
 
 
 def test_breaking_vertices_ex11(graphs_by_name):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from lpa import algebra, cli, corpus, fields, linalg, polys, reps, sampling, toeplitz
+import sampling
+from conftest import line_text
+from lpa import algebra, cli, corpus, fields, graphs, linalg, polys, reps, toeplitz
 
 KERNEL_FIELDS = ["Q", "F7", "Q(t)", "F5(s,t)", "Q[x]/(x^2+1)"]
 
@@ -39,6 +41,67 @@ def test_matrix_product_matches_row_by_column_oracle(desc):
                 for _ in range(2)
             )
             assert (a * b).rows == oracles.matrix_product(a, b)
+
+
+# -- products memoize their right operand ----------------------------------------
+
+
+@pytest.mark.parametrize("mode", [algebra.LEAVITT, algebra.COHN])
+@pytest.mark.parametrize("desc", KERNEL_FIELDS)
+def test_reused_right_operand_matches_term_by_term_oracle(desc, mode):
+    """A right operand keeps one reduced row per left monomial.  Each right
+    operand here meets itself, the identity and eight more left operands,
+    some twice, and every product agrees with the oracle; the identity's
+    vertex rows differ from one right operand to the next."""
+    K = fields.parse_descriptor(desc)
+    rng = random.Random("reuse" + desc + mode)
+    corpus_graphs = [corpus.load(name) for name in ("toeplitz", "r2", "r3", "ex35", "ex62")]
+    for g in corpus_graphs + [graphs.parse_graph(line_text(30))]:
+        one = algebra.identity(g, K, mode)
+        for _ in range(2):
+            # plus a scalar: on the line every row is nonempty
+            y = (sampling.random_element(rng, g, K, mode, max_terms=6)
+                 + one.scale(sampling.random_scalar(rng, K, nonzero=True)))
+            lefts = [sampling.random_element(rng, g, K, mode, max_terms=4) for _ in range(8)]
+            for x in [y, one, *lefts, y, *lefts[:3]]:
+                expect = oracles.algebra_product(x, y)
+                assert oracles.coefficients(x * y) == expect, (g.name, str(x), str(y))
+            assert (lefts[0] * y) * y == lefts[0] * (y * y)
+
+
+def _random_dense(rng, K, n):
+    return linalg.from_rows(K, [[sampling.random_scalar(rng, K) for _ in range(n)]
+                                for _ in range(n)])
+
+
+def _random_finitary(rng, K, size):
+    return linalg.finitary(K, {
+        (rng.randint(1, size), rng.randint(1, size)):
+            sampling.random_scalar(rng, K, nonzero=True).payload
+        for _ in range(rng.randint(0, 2 * size))
+    })
+
+
+@pytest.mark.parametrize("desc", KERNEL_FIELDS)
+def test_reused_right_matrix_matches_row_by_column_oracle(desc):
+    """A right factor keeps its row index: a reused n x n or finitary right
+    factor agrees with the oracle against itself and eight left factors."""
+    K = fields.parse_descriptor(desc)
+    rng = random.Random("reuse" + desc)
+    for n in (1, 2, 3, 4):
+        b = _random_dense(rng, K, n)
+        lefts = [_random_dense(rng, K, n) for _ in range(8)]
+        for a in [b, *lefts, b, lefts[0]]:
+            assert (a * b).rows == oracles.matrix_product(a, b)
+    size = 5
+    for _ in range(3):
+        b = _random_finitary(rng, K, size)
+        lefts = [_random_finitary(rng, K, size) for _ in range(8)]
+        for a in [b, *lefts, b, lefts[0]]:
+            product = a * b
+            assert product.dense(size) == linalg.square(K, size, dict(product.terms))
+            assert product.dense(size).rows == oracles.matrix_product(a.dense(size),
+                                                                      b.dense(size))
 
 
 def _canonical_q(x):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from lpa import algebra, fields, freegroups, graphs, sampling
+import sampling
+from lpa import algebra, fields, freegroups, graphs
 
 VERTEX_POOL = ("a", "b", "c", "d")
 EDGE_POOL = ("p", "q", "r", "s", "t2")

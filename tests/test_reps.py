@@ -5,8 +5,9 @@ import random
 import pytest
 
 import oracles
+import sampling
 from conftest import gens
-from lpa import algebra, fields, graphs, ideals, reps, sampling
+from lpa import algebra, fields, graphs, ideals, reps
 from test_algebra import relation_differences
 
 
