@@ -2,6 +2,9 @@
 """Desk-scale freeness experiment: build a generator pair from a witness and
 sweep the reduced-word bound, reporting counts and timings per length.
 
+Exits 0 when every word is nontrivial, 1 on a trivial word or a domain error,
+and 2 on a parse error, as the ``lpa`` CLI does.
+
 Examples:
     python scripts/verify_freeness.py --graph toeplitz --witness sink:f --alpha 2 --max-len 8
     python scripts/verify_freeness.py --graph toeplitz --field "F5(s,t)" \
@@ -17,43 +20,25 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from lpa import corpus, fields, freegroups, graphs
-from lpa.cli import _parse_witness
+from lpa import cli, fields, freegroups
 
 
-class _Args:
-    pass
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--graph", required=True)
-    ap.add_argument("--field", default="Q")
-    ap.add_argument("--witness", required=True)
-    ap.add_argument("--alpha", required=True)
-    ap.add_argument("--beta")
-    ap.add_argument("--max-len", type=int, default=8)
-    args = ap.parse_args()
-
-    if os.path.exists(args.graph):
-        g = graphs.parse_graph(open(args.graph).read())
-    else:
-        g = corpus.load(args.graph)
+def sweep(args):
+    if not 1 <= args.max_len <= freegroups.MAX_VERIFY_LEN:
+        raise cli.CliInputError(f"--max-len must lie in 1..{freegroups.MAX_VERIFY_LEN}")
+    g, _ = cli.load_graph(args.graph)
     field = fields.parse_descriptor(args.field)
-
-    shim = _Args()
-    shim.witness = args.witness
-    witness = _parse_witness(shim, {"graph": g, "field": field})
+    witness = cli.parse_witness(g, args.witness)
     alpha = fields.parse_element(field, args.alpha)
     beta = fields.parse_element(field, args.beta) if args.beta else None
 
     pair = freegroups.build_generators(g, field, witness, alpha, beta)
-    names = ("a", "b") if pair.char_case == "zero" else ("c", "d")
+    a, b = pair.names
     print(f"graph {g.name} over {field}, witness {args.witness}")
-    print(f"  {names[0]} = {pair.a}")
-    print(f"  {names[1]} = {pair.b}")
-    print(f"  {names[0]}^-1 = {pair.a_inv}")
-    print(f"  {names[1]}^-1 = {pair.b_inv}")
+    print(f"  {a} = {pair.a}")
+    print(f"  {b} = {pair.b}")
+    print(f"  {a}^-1 = {pair.a_inv}")
+    print(f"  {b}^-1 = {pair.b_inv}")
     for L in range(1, args.max_len + 1):
         t0 = time.monotonic()
         report = freegroups.verify_free_up_to(pair, L)
@@ -69,6 +54,28 @@ def main():
                 print(f"    trivial word: {w}")
             return 1
     return 0
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--graph", required=True)
+    ap.add_argument("--field", default="Q")
+    ap.add_argument("--witness", required=True)
+    ap.add_argument("--alpha", required=True)
+    ap.add_argument("--beta")
+    ap.add_argument("--max-len", type=int, default=8)
+    args = ap.parse_args()
+    try:
+        return sweep(args)
+    except (*cli.PARSE_ERRORS, cli.CliInputError) as exc:
+        return fail(exc, 2)
+    except cli.DOMAIN_ERRORS as exc:
+        return fail(exc, 1)
+
+
+def fail(exc, code):
+    print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

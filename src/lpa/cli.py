@@ -108,20 +108,21 @@ def build_parser():
 
 # -- input loading ----------------------------------------------------------
 
-def _load_graph(args):
-    if not args.graph:
+def load_graph(name):
+    """``(graph, text)`` from a graph file path or a bundled corpus name."""
+    if not name:
         raise CliInputError("this command needs --graph")
-    if os.path.exists(args.graph):
+    if os.path.exists(name):
         try:
-            with open(args.graph, "r", encoding="utf-8") as fh:
+            with open(name, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise CliInputError(f"cannot read graph file {args.graph!r}: {exc.strerror}") from None
+            raise CliInputError(f"cannot read graph file {name!r}: {exc.strerror}") from None
         return graphs.parse_graph(text), text
-    if args.graph in corpus.NAMES:
-        text = corpus.graph_text(args.graph)
+    if name in corpus.NAMES:
+        text = corpus.graph_text(name)
         return graphs.parse_graph(text), text
-    raise CliInputError(f"no such graph file or corpus name: {args.graph!r}")
+    raise CliInputError(f"no such graph file or corpus name: {name!r}")
 
 
 def _vertices(raw):
@@ -238,10 +239,9 @@ def _run_classify(args, ctx):
     return result, lines, []
 
 
-def _parse_witness(args, ctx):
-    g, field = ctx["graph"], ctx["field"]
-    raw = args.witness
-    head, _, rest = raw.partition(":")
+def parse_witness(g, text):
+    """The witness that a ``--witness`` spec names on the graph g."""
+    head, _, rest = text.partition(":")
     if head == "sink":
         return freegroups.SinkEdge(rest)
     if head == "qsink":
@@ -294,14 +294,14 @@ def _parse_witness(args, ctx):
 
 def _run_free_gens(args, ctx):
     g, field = ctx["graph"], ctx["field"]
-    witness = _parse_witness(args, ctx)
+    witness = parse_witness(g, args.witness)
     alpha = fields.parse_element(field, args.alpha)
     beta = fields.parse_element(field, args.beta) if args.beta else None
     if not 1 <= args.verify_len <= freegroups.MAX_VERIFY_LEN:
         raise CliInputError(f"--verify-len must lie in 1..{freegroups.MAX_VERIFY_LEN}")
     pair = freegroups.build_generators(g, field, witness, alpha, beta)
     report = freegroups.verify_free_up_to(pair, args.verify_len)
-    names = ("a", "b") if pair.char_case == "zero" else ("c", "d")
+    names = pair.names
     result = {
         "witness": args.witness,
         "char_case": pair.char_case,
@@ -328,8 +328,7 @@ def _run_free_gens(args, ctx):
 
 
 def _run_unit_group(args, ctx):
-    g = ctx["graph"]
-    desc = freegroups.unit_group_structure(g, ctx["field"])
+    desc = freegroups.unit_group_structure(ctx["graph"])
     result = {
         "kind": desc.kind,
         "gl_factors": list(desc.gl_sizes),
@@ -460,7 +459,7 @@ def main(argv=None):
     try:
         ctx["field"] = fields.parse_descriptor(args.field)
         if needs_graph:
-            ctx["graph"], ctx["graph_text"] = _load_graph(args)
+            ctx["graph"], ctx["graph_text"] = load_graph(args.graph)
         ctx["exprs"] = {
             key: _parse_in_ctx(args, ctx, getattr(args, key)) for key in expr_keys
         }

@@ -255,13 +255,16 @@ def function_field(base, names):
 # of degree >= 4, needs a certificate prime below CERTIFICATE_BOUND.
 IRREDUCIBILITY_BUDGET = 10_000
 CERTIFICATE_BOUND = 1000
+# The certificate search runs a Rabin test per prime, so its cost grows
+# steeply with the degree: Q moduli past this degree are refused.
+MAX_Q_MODULUS_DEGREE = 8
 
 
 def extension(base, coeffs):
     """Simple extension of ``base`` (Q or F_p) by a monic-or-not nonconstant
     squarefree modulus, proved irreducible: by Rabin's test over F_p; over Q
     by the absence of a rational root in degree 2 and 3, and otherwise by a
-    certificate prime.
+    certificate prime.  A Q modulus has degree at most MAX_Q_MODULUS_DEGREE.
 
     ``coeffs`` are base-field elements (or ints), degree-ascending.
     """
@@ -280,6 +283,9 @@ def extension(base, coeffs):
         raise FieldError("extension modulus must be nonconstant")
     modulus = tuple(c.payload for c in lifted)
     p = base.char
+    if not p and len(modulus) - 1 > MAX_Q_MODULUS_DEGREE:
+        raise FieldError(f"Q moduli may have degree at most {MAX_Q_MODULUS_DEGREE}, "
+                         f"got degree {len(modulus) - 1}")
     f = _upoly(modulus)
     if not _squarefree(f, p):
         raise ReducibleModulusError(

@@ -10,8 +10,10 @@ trivial matrix word).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from . import algebra, corpus, fields, graphs, ideals, linalg, reps
 
@@ -153,7 +155,6 @@ def validate_parameters(field, alpha, beta):
 
 @dataclass(frozen=True)
 class MatrixPair:
-    char_case: str
     a: linalg.DenseMatrix
     b: linalg.DenseMatrix
     a_inv: linalg.DenseMatrix
@@ -175,19 +176,20 @@ def _dressed(one, a_part, b_part, p_idem, q_idem, alpha, beta):
     return a + dress, b + dress, a_inv + undress, b_inv + undress
 
 
-def _unit_pair(case, field, n, units, alpha, beta):
+SANOV_UNITS = ((2, 1), (1, 2), (1, 1), (2, 2))
+
+
+def _unit_pair(field, n, units, alpha, beta):
     """The pair of ``_dressed`` on n x n matrix units: ``units`` holds the
     (row, column) positions of a_part, b_part, p and q."""
     parts = (linalg.matrix_unit(field, n, i, j) for i, j in units)
-    return MatrixPair(case, *_dressed(
-        linalg.identity_matrix(field, n), *parts, alpha, beta if case == "prime" else None
-    ))
+    return MatrixPair(*_dressed(linalg.identity_matrix(field, n), *parts, alpha, beta))
 
 
 def sanov_pair(field, alpha, beta=None):
     """I + alpha E21 and I + alpha E12, beta-dressed in characteristic p."""
     case = validate_parameters(field, alpha, beta)
-    return _unit_pair(case, field, 2, ((2, 1), (1, 2), (1, 1), (2, 2)), alpha, beta)
+    return _unit_pair(field, 2, SANOV_UNITS, alpha, beta if case == "prime" else None)
 
 
 # -- generator pairs -----------------------------------------------------------
@@ -205,37 +207,44 @@ class GeneratorPair:
     a_inv: algebra.AlgebraElement
     b_inv: algebra.AlgebraElement
     matrices: MatrixPair
+    corner: Callable = dataclasses.field(compare=False, repr=False)
+
+    @property
+    def names(self):
+        """The generators' names: a, b in characteristic 0, c, d in characteristic p."""
+        return ("a", "b") if self.char_case == "zero" else ("c", "d")
 
 
-def _witness_parts(g, field, witness):
-    """(a_part, b_part, p_idem, q_idem) with a = 1 + alpha a_part etc."""
-    if isinstance(witness, (SinkEdge, QuotientSink, RationalPathEdge)):
-        f = witness.edge
-        fe = algebra.edge_element(g, field, f)
-        return (
-            algebra.star(fe),
-            fe,
-            algebra.vertex_element(g, field, g.source(f)),
-            algebra.vertex_element(g, field, g.range(f)),
-        )
+def _corner(g, field, witness):
+    """``(parts, n, units, corner)`` of a validated witness: the parts
+    (a_part, b_part, p_idem, q_idem) with a = 1 + alpha a_part etc., their
+    n x n matrix units, and the corner map into n x n matrices, built once."""
+    if isinstance(witness, LineGraph):
+        chain, edges = _line_order(g)
+        i, j = witness.i, witness.j
+        path = algebra.path_element(g, field, edges[i - 1:j - 1])
+        parts = (path, algebra.star(path), algebra.vertex_element(g, field, chain[i - 1]),
+                 algebra.vertex_element(g, field, chain[j - 1]))
+        return parts, len(chain), ((i, j), (j, i), (i, i), (j, j)), LineGraphIso(g, field).image
+    f = witness.edge
+    fe = algebra.edge_element(g, field, f)
+    p_idem = algebra.vertex_element(g, field, g.source(f))
+    parts = (algebra.star(fe), fe, p_idem, algebra.vertex_element(g, field, g.range(f)))
+    if isinstance(witness, SinkEdge):
+        return parts, 2, SANOV_UNITS, _sink_corner(g, field, f)
+    if isinstance(witness, RationalPathEdge):
+        tail = witness.tail
+        moved = reps.canonicalize_rational(g, (f,) + tail.prefix, tail.cycle, tail.phase)
+        module = reps.chen_module(g, field, tail.cycle)
+        return parts, 2, SANOV_UNITS, _corner_map(module, moved, tail)
+    qm = ideals.make_quotient_map(g, witness.spec, field)
     if isinstance(witness, BreakingVertex):
-        f = witness.edge
-        fe = algebra.edge_element(g, field, f)
+        # in the quotient, w^H becomes the primed sink
         wh = ideals.wh_element(g, witness.vertex, witness.spec.H, field)
-        return (
-            wh * algebra.star(fe),
-            fe * wh,
-            algebra.vertex_element(g, field, g.source(f)),
-            wh,
-        )
-    chain, edges = _line_order(g)
-    path = algebra.path_element(g, field, edges[witness.i - 1:witness.j - 1])
-    return (
-        path,
-        algebra.star(path),
-        algebra.vertex_element(g, field, chain[witness.i - 1]),
-        algebra.vertex_element(g, field, chain[witness.j - 1]),
-    )
+        parts = (wh * algebra.star(fe), fe * wh, p_idem, wh)
+        f = ideals.primed(f)
+    corner = _sink_corner(qm.target, field, f)
+    return parts, 2, SANOV_UNITS, lambda x: corner(ideals.phi_apply(qm, x))
 
 
 def build_generators(g, field, witness, alpha, beta=None):
@@ -247,85 +256,64 @@ def build_generators(g, field, witness, alpha, beta=None):
             "characteristic p needs s(f) != w: the beta idempotents s(f) "
             "and w^H must be orthogonal"
         )
-    a, b, a_inv, b_inv = _dressed(
-        algebra.identity(g, field), *_witness_parts(g, field, witness),
-        alpha, beta if case == "prime" else None,
-    )
+    dress = beta if case == "prime" else None
+    parts, n, units, corner = _corner(g, field, witness)
+    a, b, a_inv, b_inv = _dressed(algebra.identity(g, field), *parts, alpha, dress)
     for x, y in ((a, a_inv), (b, b_inv)):
         if not algebra.verify_inverse(x, y):
             raise WitnessError("closed-form inverse failed verification")
-    if isinstance(witness, LineGraph):
-        i, j = witness.i, witness.j
-        matrices = _unit_pair(case, field, len(g.vertices),
-                              ((i, j), (j, i), (i, i), (j, j)), alpha, beta)
-    else:
-        matrices = sanov_pair(field, alpha, beta)
+    matrices = _unit_pair(field, n, units, alpha, dress)
     pair = GeneratorPair(
-        g, field, witness, case, alpha, beta, a, b, a_inv, b_inv, matrices
+        g, field, witness, case, alpha, beta, a, b, a_inv, b_inv, matrices, corner
     )
-    images = matrix_images(pair)
-    for got, expect in zip(images, (matrices.a, matrices.b, matrices.a_inv, matrices.b_inv)):
-        if got != expect:
-            raise WitnessError("matrix image of a generator disagrees with the formula")
+    if matrix_images(pair) != (matrices.a, matrices.b, matrices.a_inv, matrices.b_inv):
+        raise WitnessError("matrix image of a generator disagrees with the formula")
     return pair
 
 
 # -- images in the matrix corner -----------------------------------------------
 
-def _corner_image(module, b1, b2, x):
-    """The matrix of x acting on the two-dimensional space spanned by the
-    module vectors b1, b2 (the paper's corner map: s(f) -> E11, f -> E12);
-    raises when x does not stabilize the span."""
-    cols = []
-    for b in (b1, b2):
-        out = reps.act(x, reps.basis_vector(module, b))
-        if any(k not in (b1, b2) for k, _ in out.terms):
-            raise WitnessError(
-                "element does not stabilize the corner: it moves "
-                f"{reps.render_basis(b)} outside the span"
-            )
-        cols.append((out.coeff(b1), out.coeff(b2)))
-    return linalg.from_rows(module.field, zip(*cols))
+def _corner_map(module, b1, b2):
+    """The map sending x to its matrix acting on the two-dimensional space
+    spanned by the module basis elements b1, b2 (the paper's corner map:
+    s(f) -> E11, f -> E12); it raises when x does not stabilize the span."""
+    vectors = tuple(reps.basis_vector(module, b) for b in (b1, b2))
+
+    def image(x):
+        cols = []
+        for b, vec in zip((b1, b2), vectors):
+            out = reps.act(x, vec)
+            if any(k not in (b1, b2) for k, _ in out.terms):
+                raise WitnessError(
+                    "element does not stabilize the corner: it moves "
+                    f"{reps.render_basis(b)} outside the span"
+                )
+            cols.append((out.coeff(b1), out.coeff(b2)))
+        return linalg.from_rows(module.field, zip(*cols))
+
+    return image
 
 
-def _sink_corner(g, field, fe, x):
-    w = g.range(fe)
-    module = reps.sink_module(g, field, w)
-    return _corner_image(module, reps.FinitePath((fe,), w), reps.FinitePath((), w), x)
+def _sink_corner(g, field, f):
+    """The corner map on the sink module at r(f), spanned by f and r(f)."""
+    w = g.range(f)
+    return _corner_map(reps.sink_module(g, field, w), reps.FinitePath((f,), w),
+                       reps.FinitePath((), w))
 
 
 def element_image(pair, x):
     """The witness's matrix-corner image of an algebra element."""
-    g, field, witness = pair.graph, pair.field, pair.witness
-    if isinstance(witness, LineGraph):
-        return LineGraphIso(g, field).image(x)
-    if isinstance(witness, SinkEdge):
-        return _sink_corner(g, field, witness.edge, x)
-    if isinstance(witness, RationalPathEdge):
-        tail = witness.tail
-        module = reps.chen_module(g, field, tail.cycle)
-        moved = reps.canonicalize_rational(
-            g, (witness.edge,) + tail.prefix, tail.cycle, tail.phase
-        )
-        return _corner_image(module, moved, tail, x)
-    if isinstance(witness, QuotientSink):
-        qm = ideals.make_quotient_map(g, witness.spec, field, check=False)
-        return _sink_corner(qm.target, field, witness.edge, ideals.phi_apply(qm, x))
-    # breaking vertex: pass to the quotient, where w^H becomes the primed sink
-    qm = ideals.make_quotient_map(g, witness.spec, field, check=False)
-    return _sink_corner(
-        qm.target, field, ideals.primed(witness.edge), ideals.phi_apply(qm, x)
-    )
+    return pair.corner(x)
 
 
 def matrix_images(pair):
-    return tuple(element_image(pair, x) for x in (pair.a, pair.b, pair.a_inv, pair.b_inv))
+    return tuple(map(pair.corner, (pair.a, pair.b, pair.a_inv, pair.b_inv)))
 
 
 def two_by_two_image(pair):
     """The 2x2 images of the generator pair; line-graph witnesses use the
     full n x n isomorphism instead."""
-    if isinstance(pair.witness, LineGraph):
+    if pair.matrices.a.n != 2:
         raise WitnessError("line-graph witnesses map through the n x n isomorphism")
     a_img, b_img, _, _ = matrix_images(pair)
     return a_img, b_img
@@ -355,9 +343,8 @@ def verify_free_up_to(pair, L):
     its inverses, in the algebra and in the matrix corner."""
     if not 1 <= L <= MAX_VERIFY_LEN:
         raise ValueError(f"word length bound must lie in 1..{MAX_VERIFY_LEN}")
-    names = ("a", "b", "a^-1", "b^-1") if pair.char_case == "zero" else (
-        "c", "d", "c^-1", "d^-1"
-    )
+    a, b = pair.names
+    names = (a, b, a + "^-1", b + "^-1")
     alg = (pair.a, pair.b, pair.a_inv, pair.b_inv)
     pm = pair.matrices
     mat = (pm.a, pm.b, pm.a_inv, pm.b_inv)
@@ -443,6 +430,11 @@ class LineGraphIso:
     graph: graphs.Graph
     field: fields.FieldDescriptor
 
+    @cached_property
+    def _index(self):
+        """Vertex -> its position on the line, walked once per isomorphism."""
+        return {v: i for i, v in enumerate(_line_order(self.graph)[0], start=1)}
+
     def generator_table(self):
         chain, edges = _line_order(self.graph)
         n = len(chain)
@@ -455,16 +447,14 @@ class LineGraphIso:
         return table
 
     def image(self, x):
-        g = self.graph
-        chain, _ = _line_order(g)
-        index = {v: i for i, v in enumerate(chain, start=1)}
+        g, index = self.graph, self._index
         add, _, _, zero = self.field.ops
         acc = {}
         for m, c in x.terms:
             i = index[algebra.mono_source(g, m)]
             j = index[algebra.mono_range(g, m)]
             fields.add_term(acc, (i, j), c, add, zero)
-        return linalg.square(self.field, len(chain), acc)
+        return linalg.square(self.field, len(index), acc)
 
 
 def line_graph_iso(n, field):
@@ -492,7 +482,7 @@ class UnitGroupDescriptor:
         return " x ".join(bits) if bits else "trivial"
 
 
-def unit_group_structure(g, field=None):
+def unit_group_structure(g):
     """Artinian case: one GL_n(K) per sink.  Noetherian case: additionally one
     GL_m(K[x,x^-1]) per (necessarily disjoint, exit-free) cycle.  Anything
     else is reported with the obstruction."""

@@ -136,6 +136,7 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
      "--verify-len", "1000000000"),
     ("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^2+1/0)", "--expr", "u"),
     ("nf", "--graph", "toeplitz", "--field", "F7[x]/(x^2+3/7)", "--expr", "u"),
+    ("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^9+x+1)", "--expr", "u"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)

@@ -1,6 +1,7 @@
 """Field-layer checks: exact arithmetic, canonical payloads, profiles."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,17 @@ def test_q_moduli_past_the_root_search_need_a_certificate():
          f"(xbar - {ten10})(xbar xbar + {ten10} xbar + {ten10 ** 2}) u"),
     ):
         assert cli.main(["nf", "--graph", "toeplitz", "--field", field, "--expr", expr]) == 2
+
+
+def test_q_modulus_degree_is_capped():
+    # past the cap a Q modulus is refused before the certificate-prime
+    # search; F_p moduli have no cap (F2[x]/(x^127+x+1) is accepted below)
+    started = time.perf_counter()
+    with pytest.raises(fields.FieldError, match="degree at most 8, got degree 9$"):
+        fields.parse_descriptor("Q[x]/(x^9+x+1)")
+    assert time.perf_counter() - started < 1
+    assert fields.MAX_Q_MODULUS_DEGREE == 8
+    assert fields.parse_descriptor("Q[x]/(x^8-2)").kind == "ext"
 
 
 def test_accepted_q_moduli_are_irreducible_by_sympy():

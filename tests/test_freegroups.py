@@ -192,19 +192,24 @@ def test_lemma_bridge_breaking_to_quotient_sink(graphs_by_name, Q, F5st):
 def test_homomorphism_consistency_per_word(graphs_by_name, Q):
     """The matrix image of every reduced word equals the matrix word: the
     corner span is multiplicatively closed, so the image is defined on all
-    word products."""
+    word products.  One pair per witness kind."""
     t = graphs_by_name["toeplitz"]
     pair = fg.build_generators(t, Q, fg.SinkEdge("f"), two(Q))
     e11 = graphs_by_name["ex11"]
     spec = ideals.admissible_pair(e11, ("v1", "v2"), ("v",))
     bpair = fg.build_generators(e11, Q, fg.BreakingVertex(spec, "w", "f"), two(Q))
-    for p, L in ((pair, 4), (bpair, 3)):
+    e35 = graphs_by_name["ex35"]
+    qspec = ideals.admissible_pair(e35, ("w",), ())
+    qpair = fg.build_generators(e35, Q, fg.QuotientSink(qspec, "f", "v"), two(Q))
+    tail = reps.canonicalize_rational(e11, (), ("f",), 0)
+    tpair = fg.build_generators(e11, Q, fg.RationalPathEdge("h", tail), two(Q))
+    lpair = fg.build_generators(graphs_by_name["a5"], Q, fg.LineGraph(2, 5), two(Q))
+    for p, L in ((pair, 4), (bpair, 3), (qpair, 3), (tpair, 3), (lpair, 3)):
         alg = (p.a, p.b, p.a_inv, p.b_inv)
         mat = fg.matrix_images(p)
         inverse_of = (2, 3, 0, 1)
-        stack = [
-            (algebra.identity(p.graph, p.field), linalg.identity_matrix(p.field, 2), -1, 0)
-        ]
+        one = linalg.identity_matrix(p.field, p.matrices.a.n)
+        stack = [(algebra.identity(p.graph, p.field), one, -1, 0)]
         while stack:
             elt, m, last, depth = stack.pop()
             if depth == L:
@@ -215,6 +220,25 @@ def test_homomorphism_consistency_per_word(graphs_by_name, Q):
                 nelt, nmat = elt * alg[k], m * mat[k]
                 assert fg.element_image(p, nelt) == nmat
                 stack.append((nelt, nmat, k, depth + 1))
+
+
+def test_quotient_map_built_once_per_pair(graphs_by_name, Q, monkeypatch):
+    """A quotient witness builds its quotient map once, and its matrix
+    images reuse it."""
+    calls = []
+    make = ideals.make_quotient_map
+    monkeypatch.setattr(ideals, "make_quotient_map",
+                        lambda *args, **kw: calls.append(args) or make(*args, **kw))
+    e35 = graphs_by_name["ex35"]
+    qsink = fg.QuotientSink(ideals.admissible_pair(e35, ("w",), ()), "f", "v")
+    e11 = graphs_by_name["ex11"]
+    breaking = fg.BreakingVertex(ideals.admissible_pair(e11, ("v1", "v2"), ("v",)), "w", "f")
+    for g, witness in ((e35, qsink), (e11, breaking)):
+        calls.clear()
+        pair = fg.build_generators(g, Q, witness, two(Q))
+        fg.matrix_images(pair)
+        fg.element_image(pair, pair.a * pair.b)
+        assert len(calls) == 1, witness
 
 
 def test_verify_free_counts(graphs_by_name, Q):

@@ -240,3 +240,29 @@ def test_relation_check_raises_on_wrong_images(graphs_by_name, Q):
                   for name, img in qm.edge_images)
     with pytest.raises(ideals.IdealError):
         ideals._check_relations(dataclasses.replace(qm, edge_images=edges))
+    # f -> 3/5 f + 4/5 e f keeps (E1), (E2) and (CK1) on the diagonal but
+    # breaks e* f = 0, a pair of distinct edges that share their source
+    t = graphs_by_name["toeplitz"]
+    qt = ideals.make_quotient_map(t, ideals.admissible_pair(t, (), ()), Q)
+    e, f = (algebra.edge_element(qt.target, Q, name) for name in ("e", "f"))
+    bent = f.scale(fields.parse_element(Q, "3/5")) + (e * f).scale(fields.parse_element(Q, "4/5"))
+    edges = tuple((name, bent if name == "f" else img) for name, img in qt.edge_images)
+    with pytest.raises(ideals.IdealError, match="CK1"):
+        ideals._check_relations(dataclasses.replace(qt, edge_images=edges))
+
+
+def test_relation_check_is_linear_in_the_graph(Q, monkeypatch):
+    """(V) and (CK1) multiply only the image pairs that can meet, so on a
+    long line the check makes O(|E^0| + |E^1|) products, not their square."""
+    n = 200
+    g = graphs.parse_graph(
+        "graph g\nvertex x\nvertex w\nvertex h1\nedge f x w\nbundle w h1\n"
+        + "".join(f"vertex v{i}\n" for i in range(1, n + 1))
+        + "".join(f"edge e{i} v{i} v{i + 1}\n" for i in range(1, n))
+    )
+    calls = []
+    mul = algebra.AlgebraElement.__mul__
+    monkeypatch.setattr(algebra.AlgebraElement, "__mul__",
+                        lambda x, y: calls.append(None) or mul(x, y))
+    ideals.make_quotient_map(g, ideals.admissible_pair(g, ("h1",), ()), Q)
+    assert 0 < len(calls) < 10 * (len(g.vertices) + len(g.edges))

@@ -25,6 +25,37 @@ def test_verify_freeness_over_function_field():
     assert all("all nontrivial, matrix image consistent" in line for line in lines), out.stdout
 
 
+@pytest.mark.parametrize("graph, witness", [
+    ("toeplitz", "sink:f"),
+    ("ex35", "qsink:w;:f"),
+    ("ex11", "breaking:v1,v2:w:f"),
+    ("ex11", "tail:f:h"),
+    ("a5", "line:2:5"),
+])
+def test_verify_freeness_every_witness_kind(graph, witness):
+    out = run_script("verify_freeness.py", "--graph", graph, "--witness", witness,
+                     "--alpha", "2", "--max-len", "2")
+    assert out.returncode == 0, out.stderr
+    lines = [line for line in out.stdout.splitlines() if line.strip().startswith("L = ")]
+    assert len(lines) == 2
+    assert all("all nontrivial, matrix image consistent" in line for line in lines), out.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--graph", "toeplitz", "--witness", "bogus:f"),
+     "error (CliInputError): unknown witness kind 'bogus'"),
+    (("--graph", "toeplitz", "--witness", "sink:f", "--max-len", "13"),
+     "error (CliInputError): --max-len must lie in 1..12"),
+    (("--graph", "nosuchgraph", "--witness", "sink:f"),
+     "error (CliInputError): no such graph file or corpus name: 'nosuchgraph'"),
+], ids=["unknown-kind", "max-len", "unknown-graph"])
+def test_verify_freeness_bad_input_exits_2(argv, message):
+    out = run_script("verify_freeness.py", *argv, "--alpha", "2")
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.strip() == message
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize("name, argv", [
     ("confluence_fuzz.py", ("--iterations", "20", "--seed", "1")),
     ("paper_examples.py", ()),
