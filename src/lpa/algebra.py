@@ -295,15 +295,16 @@ def substitute(x, vertex_images, edge_images, ghost_images, out):
     monomial lam nu* maps to the product of the edge images along lam, the
     vertex image of its range and the ghost images along nu*, scaled by its
     coefficient and added to ``out``, a zero of the target."""
-    for m, c in x.terms:
+    def image(m):
         img = vertex_images[m.vertex]
         for e in reversed(m.lam):
             img = edge_images[e] * img
         # nu* = (f1 ... fl)* multiplies the ghost images in reversed order
         for e in reversed(m.nu):
             img = img * ghost_images[e]
-        out = out + img.scale_payload(c)
-    return out
+        return img
+
+    return out.add_scaled((image(m), c) for m, c in x.terms)
 
 
 def evaluate_word(letters, inverses=None):

@@ -129,10 +129,6 @@ def _vertices(raw):
     return tuple(v for v in (s.strip() for s in raw.split(",")) if v)
 
 
-def _elem_str(x):
-    return algebra.render(x)
-
-
 # -- command handlers ---------------------------------------------------------
 
 def _run_analyze(args, ctx):
@@ -179,23 +175,19 @@ def _run_analyze(args, ctx):
     return result, lines, diags
 
 
-def _parse_in_ctx(args, ctx, text):
-    return exprs.parse_expr(text, ctx["graph"], ctx["field"], args.mode)
-
-
 def _run_nf(args, ctx):
-    x = ctx["exprs"]["expr"]
-    return {"element": _elem_str(x)}, [_elem_str(x)], []
+    text = algebra.render(ctx["exprs"]["expr"])
+    return {"element": text}, [text], []
 
 
 def _run_mul(args, ctx):
-    x = ctx["exprs"]["lhs"] * ctx["exprs"]["rhs"]
-    return {"element": _elem_str(x)}, [_elem_str(x)], []
+    text = algebra.render(ctx["exprs"]["lhs"] * ctx["exprs"]["rhs"])
+    return {"element": text}, [text], []
 
 
 def _run_star(args, ctx):
-    x = algebra.star(ctx["exprs"]["expr"])
-    return {"element": _elem_str(x)}, [_elem_str(x)], []
+    text = algebra.render(algebra.star(ctx["exprs"]["expr"]))
+    return {"element": text}, [text], []
 
 
 def _run_quotient(args, ctx):
@@ -208,7 +200,7 @@ def _run_quotient(args, ctx):
         "S": list(spec.S),
         "B_H": list(ideals.breaking_vertices(g, spec.H)),
         "quotient_graph": graphs.serialize_graph(target),
-        "kernel_generators": [_elem_str(x) for x in gens],
+        "kernel_generators": [algebra.render(x) for x in gens],
     }
     lines = [graphs.serialize_graph(target).rstrip()]
     lines.append("kernel generators: " + "; ".join(result["kernel_generators"]))
@@ -302,24 +294,22 @@ def _run_free_gens(args, ctx):
     pair = freegroups.build_generators(g, field, witness, alpha, beta)
     report = freegroups.verify_free_up_to(pair, args.verify_len)
     names = pair.names
+    a, b, a_inv, b_inv = map(algebra.render, (pair.a, pair.b, pair.a_inv, pair.b_inv))
     result = {
         "witness": args.witness,
         "char_case": pair.char_case,
-        "generators": {names[0]: _elem_str(pair.a), names[1]: _elem_str(pair.b)},
-        "inverses": {
-            names[0]: _elem_str(pair.a_inv),
-            names[1]: _elem_str(pair.b_inv),
-        },
+        "generators": {names[0]: a, names[1]: b},
+        "inverses": {names[0]: a_inv, names[1]: b_inv},
         "words_checked": report.words_checked,
         "all_nontrivial": report.all_nontrivial,
         "matrix_crosscheck": report.matrix_crosscheck,
         "failures": list(report.failures),
     }
     lines = [
-        f"{names[0]} = {_elem_str(pair.a)}",
-        f"{names[1]} = {_elem_str(pair.b)}",
-        f"{names[0]}^-1 = {_elem_str(pair.a_inv)}",
-        f"{names[1]}^-1 = {_elem_str(pair.b_inv)}",
+        f"{names[0]} = {a}",
+        f"{names[1]} = {b}",
+        f"{names[0]}^-1 = {a_inv}",
+        f"{names[1]}^-1 = {b_inv}",
         f"checked {report.words_checked} reduced words of length <= {args.verify_len}",
         f"all nontrivial: {report.all_nontrivial}; "
         f"matrix crosscheck: {report.matrix_crosscheck}",
@@ -360,7 +350,7 @@ def _parse_module(args, ctx):
 
 def _parse_vector(module, raw):
     g, field = module.graph, module.field
-    out = reps.ModuleVector(module, ())
+    scaled = []
     for term in raw.split("+"):
         term = term.strip()
         if not term:
@@ -382,8 +372,8 @@ def _parse_vector(module, raw):
                 raise CliInputError("chen-module vectors need an @cycle tail")
             path = () if comps == (module.vertex,) else comps
             b = reps.FinitePath(path, module.vertex)
-        out = out + reps.basis_vector(module, b).scale(coef)
-    return out
+        scaled.append((reps.basis_vector(module, b), coef.payload))
+    return reps.ModuleVector(module, ()).add_scaled(scaled)
 
 
 def _run_act(args, ctx):
@@ -461,7 +451,8 @@ def main(argv=None):
         if needs_graph:
             ctx["graph"], ctx["graph_text"] = load_graph(args.graph)
         ctx["exprs"] = {
-            key: _parse_in_ctx(args, ctx, getattr(args, key)) for key in expr_keys
+            key: exprs.parse_expr(getattr(args, key), ctx["graph"], ctx["field"], args.mode)
+            for key in expr_keys
         }
     except (*PARSE_ERRORS, CliInputError) as exc:
         return _fail(args, ctx, exc, 2)

@@ -113,18 +113,14 @@ class _Parser:
         return value
 
     def expr(self):
-        negate = False
-        if self.peek() and self.peek().kind == "MINUS":
-            self.take()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek() and self.peek().kind in ("PLUS", "MINUS"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op.kind == "PLUS" else value - rhs
-        return value
+        signs = dict(zip(("PLUS", "MINUS"), self.field.signs))
+        tok = self.peek()
+        sign = signs[self.take().kind] if tok and tok.kind == "MINUS" else signs["PLUS"]
+        scaled = [(self.term(), sign)]
+        while self.peek() and self.peek().kind in signs:
+            sign = signs[self.take().kind]
+            scaled.append((self.term(), sign))
+        return algebra.zero(self.g, self.field, self.mode).add_scaled(scaled)
 
     def term(self):
         value = self.atom()

@@ -69,6 +69,11 @@ class FieldDescriptor:
         only payload arithmetic for ``+``, ``*`` and ``-``."""
         return _payload_ops(self)
 
+    @cached_property
+    def signs(self):
+        """The payloads ``(1, -1)``."""
+        return int_payload(self, 1), int_payload(self, -1)
+
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -148,9 +153,10 @@ class Combination:
     of ``(key, payload)`` with no zero payload.
 
     The linear structure runs on raw payloads through ``field.ops``; a
-    ``FieldElement`` is built only where a coefficient is read out.  A
-    subclass supplies ``field``, its domain ``error`` class, ``_check(other)``,
-    which raises that error unless ``other`` lies in the same space, and
+    ``FieldElement`` is built only where a coefficient is read out.  Every
+    sum and scaling is one ``add_scaled``, assembled once.  A subclass
+    supplies ``field``, its domain ``error`` class, ``_check(other)``, which
+    raises that error unless ``other`` lies in the same space, and
     ``_make(acc)``, the element of a sparse payload dict.
     """
 
@@ -163,21 +169,29 @@ class Combination:
                 return FieldElement(self.field, c)
         return zero(self.field)
 
-    def __add__(self, other):
-        self._check(other)
-        add, _, _, z = self.field.ops
+    def add_scaled(self, scaled):
+        """``self + k1 x1 + ... + kn xn`` for ``(x, k)`` pairs of a combination
+        of this space and a raw payload; a scale of 1 or -1 costs no product."""
+        add, mul, neg, z = self.field.ops
+        one, minus_one = self.field.signs
         acc = dict(self.terms)
-        for k, c in other.terms:
-            add_term(acc, k, c, add, z)
+        for x, k in scaled:
+            self._check(x)
+            if k != z:
+                for key, c in x.terms:
+                    if k != one:
+                        c = neg(c) if k == minus_one else mul(c, k)
+                    add_term(acc, key, c, add, z)
         return self._make(acc)
 
+    def __add__(self, other):
+        return self.add_scaled(((other, self.field.signs[0]),))
+
     def __neg__(self):
-        neg = self.field.ops[2]
-        return self._make({k: neg(c) for k, c in self.terms})
+        return self.scale_payload(self.field.signs[1])
 
     def __sub__(self, other):
-        self._check(other)
-        return self + (-other)
+        return self.add_scaled(((other, self.field.signs[1]),))
 
     def scale(self, k):
         if not isinstance(k, FieldElement) or k.field != self.field:
@@ -186,10 +200,7 @@ class Combination:
 
     def scale_payload(self, k):
         """The combination times the raw payload ``k`` of ``field``."""
-        _, mul, _, z = self.field.ops
-        if k == z:
-            return self._make({})
-        return self._make({key: mul(c, k) for key, c in self.terms})
+        return self._make({}).add_scaled(((self, k),))
 
 
 # -- descriptors ---------------------------------------------------------

@@ -156,7 +156,9 @@ def _check_relations(qm):
     eimg = dict(qm.edge_images)
     one_t = algebra.identity(qm.target, field)
     zero = algebra.zero(qm.target, field)
-    _require(sum(vimg.values(), zero) == one_t, "vertex images do not sum to the target identity")
+    one = field.signs[0]
+    _require(zero.add_scaled((x, one) for x in vimg.values()) == one_t,
+             "vertex images do not sum to the target identity")
     for v, w in _meeting(vimg, vimg):
         expect = vimg[v] if v == w else zero
         _require(vimg[v] * vimg[w] == expect, "(V) fails under substitution")
@@ -170,7 +172,7 @@ def _check_relations(qm):
         _require(stars[e] * eimg[f] == expect, "(CK1) fails under substitution")
     for v in g.vertices:
         if graphs.is_regular(g, v):
-            total = sum((eimg[e] * stars[e] for e in g.out_edges[v]), zero)
+            total = zero.add_scaled((eimg[e] * stars[e], one) for e in g.out_edges[v])
             _require(total == vimg[v], "(CK2) fails under substitution")
 
 

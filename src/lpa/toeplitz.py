@@ -66,10 +66,9 @@ def aug_identity(field):
 
 def aug_from_units(field, units):
     """I + sum of (i, j, value) entries."""
-    m = fin_zero(field)
-    for i, j, value in units:
-        m = m + fin_unit(field, i, j, value)
-    return AugmentedMatrix(m)
+    one = field.signs[0]
+    units = ((fin_unit(field, i, j, value), one) for i, j, value in units)
+    return AugmentedMatrix(fin_zero(field).add_scaled(units))
 
 
 def global_det(u):

@@ -180,7 +180,8 @@ CORE_FIELDS = ["Q", "F7", "Q(t)", "Q[x]/(x^2+1)"]
 
 
 def _random_combination(kind, K, rng):
-    """A random algebra element, sink-module vector or finitary matrix over K."""
+    """A random algebra element, sink-module vector, finitary matrix or 3 x 3
+    matrix over K."""
     if kind == "algebra":
         return sampling.random_element(rng, corpus.load("toeplitz"), K, max_terms=4)
     terms = [sampling.random_scalar(rng, K, nonzero=True) for _ in range(rng.randint(0, 4))]
@@ -191,6 +192,11 @@ def _random_combination(kind, K, rng):
         for k in terms:
             out = out + reps.basis_vector(module, rng.choice(basis)).scale(k)
         return out
+    if kind == "dense":
+        out = linalg.square(K, 3, {})
+        for k in terms:
+            out = out + linalg.matrix_unit(K, 3, rng.randint(1, 3), rng.randint(1, 3), k)
+        return out
     out = toeplitz.fin_zero(K)
     for k in terms:
         out = out + toeplitz.fin_unit(K, rng.randint(1, 3), rng.randint(1, 3), k)
@@ -200,7 +206,8 @@ def _random_combination(kind, K, rng):
 @pytest.mark.parametrize("desc", CORE_FIELDS)
 @pytest.mark.parametrize("kind, error", [("algebra", algebra.AlgebraError),
                                          ("module", reps.ModuleError),
-                                         ("finitary", toeplitz.ToeplitzError)])
+                                         ("finitary", toeplitz.ToeplitzError),
+                                         ("dense", linalg.MatrixError)])
 def test_combination_core_matches_term_by_term_oracle(kind, error, desc):
     K = fields.parse_descriptor(desc)
     F5 = fields.prime_field(5)
@@ -218,9 +225,20 @@ def test_combination_core_matches_term_by_term_oracle(kind, error, desc):
         expect = oracles.linear_combination(K, (one, x))
         for key, _ in x.terms + y.terms:
             assert x.coeff(key) == expect.get(key, zero)
+        # the n-ary sum x + k1 x1 + ... with no, one and many operands, over
+        # the scales 0, 1 and -1 and random ones
+        scales = [zero, one, minus_one, k] + [sampling.random_scalar(rng, K) for _ in range(4)]
+        operands = [(_random_combination(kind, K, rng), c) for c in scales]
+        for n in (0, 1, len(operands)):
+            got = x.add_scaled((z, c.payload) for z, c in operands[:n])
+            assert oracles.coefficients(got) == oracles.linear_combination(
+                K, (one, x), *((c, z) for z, c in operands[:n]))
+        assert x.add_scaled([(y, one.payload), (x, minus_one.payload),
+                             (y, minus_one.payload)]).is_zero()
         # a foreign operand or scalar raises the class's own error
         foreign = _random_combination(kind, F5, rng)
         for bad in (lambda: x + foreign, lambda: x - foreign, lambda: x + k,
+                    lambda: x.add_scaled([(y, one.payload), (foreign, one.payload)]),
                     lambda: x.scale(fields.one(F5)), lambda: x.scale(1)):
             with pytest.raises(error):
                 bad()
