@@ -67,7 +67,8 @@ def main():
     args = ap.parse_args()
     try:
         return sweep(args)
-    except (*cli.PARSE_ERRORS, cli.CliInputError) as exc:
+    except (*cli.PARSE_ERRORS, cli.CliInputError, fields.RenderError) as exc:
+        # alpha is 2 or a variable, so only a parsed modulus can be too long to write out
         return fail(exc, 2)
     except cli.DOMAIN_ERRORS as exc:
         return fail(exc, 1)

@@ -26,6 +26,7 @@ DOMAIN_ERRORS = (
     freegroups.ParameterError,
     toeplitz.ToeplitzError,
     linalg.MatrixError,
+    fields.RenderError,
     ZeroDivisionError,
 )
 
@@ -361,6 +362,8 @@ def _parse_vector(module, raw):
         else:
             coef, path_raw = fields.one(field), term
         path_raw = path_raw.strip()
+        if not all(p.isidentifier() for p in path_raw.replace("@", ".").split(".") if p):
+            raise CliInputError(f"vector path {path_raw!r} has a name that is not an identifier")
         if "@" in path_raw:
             prefix_raw, cycle_raw = path_raw.split("@", 1)
             prefix = tuple(p for p in prefix_raw.strip(".").split(".") if p)
@@ -454,7 +457,7 @@ def main(argv=None):
             key: exprs.parse_expr(getattr(args, key), ctx["graph"], ctx["field"], args.mode)
             for key in expr_keys
         }
-    except (*PARSE_ERRORS, CliInputError) as exc:
+    except (*PARSE_ERRORS, CliInputError, fields.RenderError) as exc:
         return _fail(args, ctx, exc, 2)
     # domain stage: failures exit 1
     try:

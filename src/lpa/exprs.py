@@ -139,13 +139,13 @@ class _Parser:
         tok = self.take()
         if tok.kind == "NUM":
             if "/" in tok.text:
-                a, b = tok.text.split("/")
+                a, b = map(fields.parse_int, tok.text.split("/"))
                 try:
-                    k = fields.from_fraction(self.field, Fraction(int(a), int(b)))
+                    k = fields.from_fraction(self.field, Fraction(a, b))
                 except ZeroDivisionError:
                     raise ExprError(f"zero denominator in {tok.text!r}", tok.col) from None
             else:
-                k = fields.from_int(self.field, int(tok.text))
+                k = fields.from_int(self.field, fields.parse_int(tok.text))
             return algebra.scalar(self.g, self.field, k, self.mode)
         if tok.kind == "LPAREN":
             self.depth += 1

@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
 
 from . import polys
-from .polys import _qnorm
+from .polys import RenderError, _qnorm    # writing out an element may raise RenderError
 
 
 class FieldError(ValueError):
@@ -294,9 +295,7 @@ def extension(base, coeffs):
         raise FieldError("extension modulus must be nonconstant")
     modulus = tuple(c.payload for c in lifted)
     p = base.char
-    if not p and len(modulus) - 1 > MAX_Q_MODULUS_DEGREE:
-        raise FieldError(f"Q moduli may have degree at most {MAX_Q_MODULUS_DEGREE}, "
-                         f"got degree {len(modulus) - 1}")
+    _check_degree(p, len(modulus) - 1)
     f = _upoly(modulus)
     if not _squarefree(f, p):
         raise ReducibleModulusError(
@@ -311,6 +310,12 @@ def extension(base, coeffs):
     elif len(modulus) > 2:
         _check_irreducible_q(modulus)
     return FieldDescriptor("ext", p, base=base, modulus=modulus)
+
+
+def _check_degree(p, deg):
+    if not p and deg > MAX_Q_MODULUS_DEGREE:
+        raise FieldError(f"Q moduli may have degree at most {MAX_Q_MODULUS_DEGREE}, "
+                         f"got degree {deg}")
 
 
 def _squarefree(f, p):
@@ -337,7 +342,8 @@ def _check_irreducible_q(modulus):
     a = [int(c * scale) for c in modulus]
     root, searched = _rational_root(a)
     if root is not None:
-        raise ReducibleModulusError(f"modulus {name} factors over Q: it has the root {root}")
+        raise ReducibleModulusError(
+            f"modulus {name} factors over Q: it has the root {polys.cstr(root)}")
     if len(a) == 3 or (len(a) == 4 and searched) or _certificate_prime(a):
         return
     raise UncertifiedModulusError(
@@ -648,7 +654,7 @@ def parse_descriptor(text):
     m = _DESC_RE.match(text)
     if not m:
         raise FieldError(f"cannot parse field descriptor {text!r}")
-    base = prime_field(int(m.group("p"))) if m.group("p") else rationals()
+    base = prime_field(parse_int(m.group("p"))) if m.group("p") else rationals()
     if m.group("vars"):
         names = [v.strip() for v in m.group("vars").split(",")]
         base = function_field(base, names)
@@ -662,7 +668,16 @@ def parse_descriptor(text):
                 f"zero denominator in modulus {m.group('mod')!r} over {base}"
             ) from None
         base = extension(base, coeffs)
+        descriptor_str(base)    # RenderError now if like terms summed past the digit limit
     return base
+
+
+def parse_int(digits):
+    """``int(digits)``, or FieldError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FieldError(f"integer literal exceeds {sys.get_int_max_str_digits()} digits") from None
 
 
 _TERM_RE = re.compile(
@@ -687,7 +702,7 @@ def _parse_upoly(text, varname, base):
             raise FieldError(f"missing +/- in modulus near {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("num") is not None:
-            c = Fraction(int(m.group("num")), int(m.group("den") or 1))
+            c = Fraction(parse_int(m.group("num")), parse_int(m.group("den") or "1"))
         else:
             c = Fraction(1)
         if m.group("var") is not None:
@@ -695,13 +710,14 @@ def _parse_upoly(text, varname, base):
                 raise FieldError(
                     f"unknown variable {m.group('var')!r} in modulus (expected {varname!r})"
                 )
-            e = int(m.group("exp") or 1)
+            e = parse_int(m.group("exp") or "1")
         else:
             e = 0
         coeffs[e] = coeffs.get(e, Fraction(0)) + sign * c
         pos = m.end()
         first = False
-    deg = max(coeffs, default=0)
+    deg = max((e for e, c in coeffs.items() if c), default=0)
+    _check_degree(base.char, deg)    # before the dense list is built
     return [from_fraction(base, coeffs.get(i, Fraction(0))) for i in range(deg + 1)]
 
 
@@ -713,11 +729,11 @@ def parse_element(field, text):
     """Parse a scalar literal: integer, a/b, variable name, or ``xbar``."""
     text = text.strip()
     if _INT_RE.match(text):
-        return from_int(field, int(text))
+        return from_int(field, parse_int(text))
     m = _FRAC_RE.match(text)
     if m:
         try:
-            return from_int(field, int(m.group(1))) / from_int(field, int(m.group(2)))
+            return from_int(field, parse_int(m.group(1))) / from_int(field, parse_int(m.group(2)))
         except ZeroDivisionError:
             raise FieldError(f"zero denominator in scalar literal {text!r} over {field}") from None
     if text == "xbar" and field.kind == "ext":
@@ -743,7 +759,7 @@ def descriptor_str(field):
 def element_str(x):
     field, payload = x.field, x.payload
     if field.kind in ("Q", "Fp"):
-        return str(payload)
+        return polys.cstr(payload)
     if field.kind == "fraction":
         num = polys.pfrom_canon(payload[0])
         den = polys.pfrom_canon(payload[1])

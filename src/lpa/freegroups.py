@@ -59,72 +59,21 @@ class LineGraph:
     j: int
 
 
-def validate_witness(g, witness):
-    if isinstance(witness, SinkEdge):
-        f = witness.edge
-        if f not in g.edge_map:
-            raise WitnessError(f"unknown edge {f!r}")
-        if graphs.classify_vertex(g, g.range(f)) != graphs.SINK:
-            raise WitnessError(f"range of {f!r} is not a sink")
-    elif isinstance(witness, QuotientSink):
-        f, w = witness.edge, witness.target
-        if f not in g.edge_map or g.range(f) != w:
-            raise WitnessError(f"edge {f!r} must end at the quotient sink {w!r}")
-        if w in witness.spec.H:
-            raise WitnessError(f"{w!r} lies in H")
-        quotient = ideals.quotient_graph(g, witness.spec)
-        if graphs.classify_vertex(quotient, w) != graphs.SINK:
-            raise WitnessError(f"{w!r} is not a sink in the quotient graph")
-    elif isinstance(witness, BreakingVertex):
-        w, f = witness.vertex, witness.edge
-        B = ideals.breaking_vertices(g, witness.spec.H)
-        if w not in B or w in witness.spec.S:
-            raise WitnessError(f"{w!r} is not in B_H \\ S")
-        if f not in g.edge_map or g.range(f) != w:
-            raise WitnessError(f"edge {f!r} must end at the breaking vertex {w!r}")
-    elif isinstance(witness, RationalPathEdge):
-        f, tail = witness.edge, witness.tail
-        if f not in g.edge_map:
-            raise WitnessError(f"unknown edge {f!r}")
-        canon = reps.canonicalize_rational(g, tail.prefix, tail.cycle, tail.phase)
-        if canon != tail:
-            raise WitnessError("tail is not in canonical form")
-        if g.range(f) != tail.start(g):
-            raise WitnessError("the edge must end at the start of the tail")
-        if g.source(f) == g.range(f):
-            raise WitnessError("the entering edge must satisfy s(f) != r(f)")
-    elif isinstance(witness, LineGraph):
-        line = _line_order(g)
-        if line is None:
-            raise WitnessError("graph is not an oriented line")
-        n = len(line[0])
-        if not (1 <= witness.i < witness.j <= n):
-            raise WitnessError(f"need 1 <= i < j <= {n}")
-    else:
-        raise WitnessError(f"unknown witness {witness!r}")
-
-
 def _line_order(g):
-    """``(chain, edges)`` when the graph is v1 -> v2 -> ... -> vn, n >= 2 (in
-    some vertex order), else None."""
+    """Vertex -> its position i when the graph is v1 -> v2 -> ... -> vn,
+    n >= 2 (in some vertex order), else None."""
     if g.bundles or len(g.edges) != len(g.vertices) - 1 or len(g.vertices) < 2:
         return None
-    indeg = {v: 0 for v in g.vertices}
-    for e in g.edges:
-        indeg[e.dst] += 1
-    sources = [v for v in g.vertices if indeg[v] == 0]
-    if len(sources) != 1:
+    chain = [v for v in g.vertices if not g.in_edges[v]]
+    if len(chain) != 1:
         return None
-    chain, edges = [sources[0]], []
-    while g.out_edges[chain[-1]]:
-        out = g.out_edges[chain[-1]]
-        if len(out) != 1:
-            return None
-        edges.append(out[0])
-        chain.append(g.range(out[0]))
-    if len(chain) != len(g.vertices) or len(set(chain)) != len(chain):
+    # with n - 1 edges and one source every other vertex has one in-edge, so
+    # the walk visits distinct vertices, and all n only along a line
+    while len(g.out_edges[chain[-1]]) == 1:
+        chain.append(g.range(g.out_edges[chain[-1]][0]))
+    if len(chain) != len(g.vertices):
         return None
-    return chain, edges
+    return {v: i for i, v in enumerate(chain, start=1)}
 
 
 # -- parameter validation ------------------------------------------------------
@@ -216,39 +165,77 @@ class GeneratorPair:
 
 
 def _corner(g, field, witness):
-    """``(parts, n, units, corner)`` of a validated witness: the parts
-    (a_part, b_part, p_idem, q_idem) with a = 1 + alpha a_part etc., their
-    n x n matrix units, and the corner map into n x n matrices, built once."""
+    """``(parts, n, units, corner)`` of a witness checked against the graph
+    first: the parts (a_part, b_part, p_idem, q_idem) with a = 1 + alpha a_part
+    etc., their n x n matrix units, and the corner map, built once."""
     if isinstance(witness, LineGraph):
-        chain, edges = _line_order(g)
-        i, j = witness.i, witness.j
-        path = algebra.path_element(g, field, edges[i - 1:j - 1])
+        iso = LineGraphIso(g, field)
+        if iso._index is None:
+            raise WitnessError("graph is not an oriented line")
+        chain, i, j = list(iso._index), witness.i, witness.j
+        if not 1 <= i < j <= len(chain):
+            raise WitnessError(f"need 1 <= i < j <= {len(chain)}")
+        path = algebra.path_element(g, field, [g.out_edges[v][0] for v in chain[i - 1:j - 1]])
         parts = (path, algebra.star(path), algebra.vertex_element(g, field, chain[i - 1]),
                  algebra.vertex_element(g, field, chain[j - 1]))
-        return parts, len(chain), ((i, j), (j, i), (i, i), (j, j)), LineGraphIso(g, field).image
-    f = witness.edge
-    fe = algebra.edge_element(g, field, f)
-    p_idem = algebra.vertex_element(g, field, g.source(f))
-    parts = (algebra.star(fe), fe, p_idem, algebra.vertex_element(g, field, g.range(f)))
+        return parts, len(chain), ((i, j), (j, i), (i, i), (j, j)), iso.image
     if isinstance(witness, SinkEdge):
-        return parts, 2, SANOV_UNITS, _sink_corner(g, field, f)
+        f = witness.edge
+        if f not in g.edge_map:
+            raise WitnessError(f"unknown edge {f!r}")
+        if graphs.classify_vertex(g, g.range(f)) != graphs.SINK:
+            raise WitnessError(f"range of {f!r} is not a sink")
+        return _edge_parts(g, field, f), 2, SANOV_UNITS, _sink_corner(g, field, f)
     if isinstance(witness, RationalPathEdge):
-        tail = witness.tail
+        f, tail = witness.edge, witness.tail
+        if f not in g.edge_map:
+            raise WitnessError(f"unknown edge {f!r}")
+        if reps.canonicalize_rational(g, tail.prefix, tail.cycle, tail.phase) != tail:
+            raise WitnessError("tail is not in canonical form")
+        if g.range(f) != tail.start(g):
+            raise WitnessError("the edge must end at the start of the tail")
+        if g.source(f) == g.range(f):
+            raise WitnessError("the entering edge must satisfy s(f) != r(f)")
         moved = reps.canonicalize_rational(g, (f,) + tail.prefix, tail.cycle, tail.phase)
         module = reps.chen_module(g, field, tail.cycle)
-        return parts, 2, SANOV_UNITS, _corner_map(module, moved, tail)
-    qm = ideals.make_quotient_map(g, witness.spec, field)
-    if isinstance(witness, BreakingVertex):
+        return _edge_parts(g, field, f), 2, SANOV_UNITS, _corner_map(module, moved, tail)
+    if isinstance(witness, QuotientSink):
+        f, w = witness.edge, witness.target
+        if f not in g.edge_map or g.range(f) != w:
+            raise WitnessError(f"edge {f!r} must end at the quotient sink {w!r}")
+        if w in witness.spec.H:
+            raise WitnessError(f"{w!r} lies in H")
+        qm = ideals.make_quotient_map(g, witness.spec, field)
+        if graphs.classify_vertex(qm.target, w) != graphs.SINK:
+            raise WitnessError(f"{w!r} is not a sink in the quotient graph")
+        parts = _edge_parts(g, field, f)
+    elif isinstance(witness, BreakingVertex):
+        w, f = witness.vertex, witness.edge
+        if w not in ideals.breaking_vertices(g, witness.spec.H) or w in witness.spec.S:
+            raise WitnessError(f"{w!r} is not in B_H \\ S")
+        if f not in g.edge_map or g.range(f) != w:
+            raise WitnessError(f"edge {f!r} must end at the breaking vertex {w!r}")
+        qm = ideals.make_quotient_map(g, witness.spec, field)
         # in the quotient, w^H becomes the primed sink
-        wh = ideals.wh_element(g, witness.vertex, witness.spec.H, field)
-        parts = (wh * algebra.star(fe), fe * wh, p_idem, wh)
+        fstar, fe, p_idem, _ = _edge_parts(g, field, f)
+        wh = ideals.wh_element(g, w, witness.spec.H, field)
+        parts = (wh * fstar, fe * wh, p_idem, wh)
         f = ideals.primed(f)
+    else:
+        raise WitnessError(f"unknown witness {witness!r}")
     corner = _sink_corner(qm.target, field, f)
     return parts, 2, SANOV_UNITS, lambda x: corner(ideals.phi_apply(qm, x))
 
 
+def _edge_parts(g, field, f):
+    """(f*, f, s(f), r(f)) as algebra elements."""
+    fe = algebra.edge_element(g, field, f)
+    return (algebra.star(fe), fe, algebra.vertex_element(g, field, g.source(f)),
+            algebra.vertex_element(g, field, g.range(f)))
+
+
 def build_generators(g, field, witness, alpha, beta=None):
-    validate_witness(g, witness)
+    parts, n, units, corner = _corner(g, field, witness)
     case = validate_parameters(field, alpha, beta)
     if case == "prime" and isinstance(witness, BreakingVertex) \
             and g.source(witness.edge) == witness.vertex:
@@ -257,7 +244,6 @@ def build_generators(g, field, witness, alpha, beta=None):
             "and w^H must be orthogonal"
         )
     dress = beta if case == "prime" else None
-    parts, n, units, corner = _corner(g, field, witness)
     a, b, a_inv, b_inv = _dressed(algebra.identity(g, field), *parts, alpha, dress)
     for x, y in ((a, a_inv), (b, b_inv)):
         if not algebra.verify_inverse(x, y):
@@ -308,15 +294,6 @@ def element_image(pair, x):
 
 def matrix_images(pair):
     return tuple(map(pair.corner, (pair.a, pair.b, pair.a_inv, pair.b_inv)))
-
-
-def two_by_two_image(pair):
-    """The 2x2 images of the generator pair; line-graph witnesses use the
-    full n x n isomorphism instead."""
-    if pair.matrices.a.n != 2:
-        raise WitnessError("line-graph witnesses map through the n x n isomorphism")
-    a_img, b_img, _, _ = matrix_images(pair)
-    return a_img, b_img
 
 
 # -- word verification -----------------------------------------------------------
@@ -418,7 +395,7 @@ def find_witness(g, spec=None):
                     out.append(RationalPathEdge(e.name, tail))
     line = _line_order(g)
     if line is not None:
-        n = len(line[0])
+        n = len(line)
         out += [LineGraph(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     return out
 
@@ -433,18 +410,7 @@ class LineGraphIso:
     @cached_property
     def _index(self):
         """Vertex -> its position on the line, walked once per isomorphism."""
-        return {v: i for i, v in enumerate(_line_order(self.graph)[0], start=1)}
-
-    def generator_table(self):
-        chain, edges = _line_order(self.graph)
-        n = len(chain)
-        table = {}
-        for i, v in enumerate(chain, start=1):
-            table[v] = linalg.matrix_unit(self.field, n, i, i)
-        for i, e in enumerate(edges, start=1):
-            table[e] = linalg.matrix_unit(self.field, n, i, i + 1)
-            table[e + "*"] = linalg.matrix_unit(self.field, n, i + 1, i)
-        return table
+        return _line_order(self.graph)
 
     def image(self, x):
         g, index = self.graph, self._index

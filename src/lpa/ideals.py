@@ -24,10 +24,11 @@ def admissible_pair(g, H, S=()):
         g.require_vertex(v)
     H = tuple(sorted(set(H), key=g.vertices.index))
     S = tuple(sorted(set(S), key=g.vertices.index))
+    shown = "{" + ", ".join(map(repr, H)) + "}"     # in graph order
     if not graphs.is_hereditary(g, H):
-        raise IdealError(f"H={set(H) or '{}'} is not hereditary")
+        raise IdealError(f"H={shown} is not hereditary")
     if not graphs.is_saturated(g, H):
-        raise IdealError(f"H={set(H) or '{}'} is not saturated")
+        raise IdealError(f"H={shown} is not saturated")
     B = breaking_vertices(g, H)
     extra = set(S) - set(B)
     if extra:

@@ -11,11 +11,16 @@ below (monic gcds, monic denominators).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
 class NotDivisibleError(ArithmeticError):
     pass
+
+
+class RenderError(ValueError):
+    """A coefficient too long to write out as text."""
 
 
 # -- coefficient domain -------------------------------------------------
@@ -364,15 +369,23 @@ def pstr(a, names):
             n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k
         )
         if not mono:
-            term = str(c)
+            term = cstr(c)
         elif c == 1:
             term = mono
         elif c == -1:
             term = "-" + mono
         else:
-            term = f"{c}*{mono}"
+            term = f"{cstr(c)}*{mono}"
         parts.append(term)
     return signed_sum(parts)
+
+
+def cstr(c):
+    """A coefficient as text, or RenderError past the interpreter's digit limit."""
+    try:
+        return str(c)
+    except ValueError:
+        raise RenderError(f"coefficient exceeds {sys.get_int_max_str_digits()} digits") from None
 
 
 def signed_sum(parts):

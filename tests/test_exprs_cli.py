@@ -92,12 +92,13 @@ def test_roundtrip_on_corpus_of_expressions(graphs_by_name, Q):
         count += 1
 
 
-def run_cli(*argv, timeout=None):
+def run_cli(*argv, timeout=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "lpa.cli", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=env,
     )
 
 
@@ -140,12 +141,47 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
     ("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^2+1/0)", "--expr", "u"),
     ("nf", "--graph", "toeplitz", "--field", "F7[x]/(x^2+3/7)", "--expr", "u"),
     ("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^9+x+1)", "--expr", "u"),
+    # integer literals longer than the interpreter reads
+    ("nf", "--graph", "toeplitz", "--expr", "7" * 5000 + " u"),
+    ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "1" * 5000),
+    ("nf", "--graph", "toeplitz", "--field", "F" + "1" * 5000, "--expr", "u"),
+    ("nf", "--graph", "toeplitz", "--field", f"Q[x]/(x^2+{'1' * 5000})", "--expr", "u"),
+    ("act", "--graph", "toeplitz", "--module", "sink:v", "--expr", "u", "--vector", "2*f - e.f"),
+    # like terms sum to a modulus coefficient longer than the interpreter writes out
+    ("nf", "--graph", "toeplitz", "--field", f"Q[x]/(x+{'9' * 4300}+{'9' * 4300})",
+     "--expr", "u"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error (")
+
+
+@pytest.mark.parametrize("argv", [
+    ("toeplitz", "--expr", "10000000000 u", "--size", "500", "--det"),
+    ("nf", "--graph", "toeplitz", "--expr", f"{'3' * 3000} {'3' * 3000} u"),
+])
+def test_cli_result_past_digit_limit_exit_1_without_traceback(argv):
+    """A valid request whose result has a coefficient longer than the
+    interpreter writes out is a domain error, not a traceback."""
+    out = run_cli(*argv, timeout=60)
+    assert out.returncode == 1, out.stderr[-500:]
+    assert out.stderr.startswith(
+        f"error (RenderError): coefficient exceeds {sys.get_int_max_str_digits()} digits")
+
+
+def test_cli_q_modulus_degree_capped_before_expansion():
+    """The Q modulus degree cap applies before the coefficient list is built,
+    so a ten-million-degree modulus is refused at once."""
+    started = time.perf_counter()
+    out = run_cli("nf", "--graph", "toeplitz", "--field", "Q[x]/(x^10000000+1)",
+                  "--expr", "u", timeout=60)
+    elapsed = time.perf_counter() - started
+    assert out.returncode == 2, out.stderr[-500:]
+    assert out.stderr.startswith(
+        "error (FieldError): Q moduli may have degree at most 8, got degree 10000000")
+    assert elapsed < 1, elapsed
 
 
 def test_cli_toeplitz_size_budget():
@@ -234,6 +270,11 @@ def test_cli_json_byte_identical():
     d = run_cli("free-gens", "--graph", "toeplitz", "--witness", "sink:f",
                 "--alpha", "2", "--verify-len", "3", "--json")
     assert c.stdout == d.stdout
+    # hash seeds 0 and 3 iterate the set {'v1', 'v3'} in opposite orders
+    e, f = (run_cli("quotient", "--graph", "a5", "--H", "v1,v3", "--json",
+                    env={**os.environ, "PYTHONHASHSEED": seed}) for seed in ("0", "3"))
+    assert e.stdout == f.stdout
+    assert "H={'v1', 'v3'} is not hereditary" in e.stdout
 
 
 def test_cli_free_gens_json():
@@ -509,11 +550,51 @@ def sum_grammar_argv(draw):
     return head + ["--expr", draw(expr)]
 
 
-@settings(max_examples=120, deadline=None)
-@given(sum_grammar_argv())
+WITNESS_FIELDS = {"Q": ["2", "3", "1/2"], "F7": ["2", "3"], "Q(t)": ["t", "2"],
+                  "F5(s,t)": ["s", "t", "2"]}
+_WITNESS_JUNK = ["", "sink", "qsink:", "qsink:a:b:c", "breaking::", "tail:e", "line:1",
+                 "line:a:b", "nope:f", ":::"]
+
+
+@st.composite
+def witness_argv(draw):
+    """``free-gens`` over every corpus graph: the five witness kinds built
+    from the graph's own names (plus an unknown one), and malformed specs."""
+    name = draw(st.sampled_from(corpus.NAMES))
+    g = corpus.load(name)
+    edge = st.sampled_from([e.name for e in g.edges] + ["zz"])
+    vertex = st.sampled_from(list(g.vertices) + ["zz"])
+    H = st.lists(vertex, max_size=3).map(",".join)
+    cycle = st.sampled_from([".".join(c.edges) for c in g.cycles] + ["zz"])
+    kind = draw(st.sampled_from(["sink", "qsink", "breaking", "tail", "line", "junk"]))
+    if kind == "sink":
+        spec = f"sink:{draw(edge)}"
+    elif kind == "qsink":
+        S = f";{draw(H)}" if draw(st.booleans()) else ""
+        spec = f"qsink:{draw(H)}{S}:{draw(edge)}"
+    elif kind == "breaking":
+        spec = f"breaking:{draw(H)}:{draw(vertex)}:{draw(edge)}"
+    elif kind == "tail":
+        spec = f"tail:{draw(cycle)}:{draw(edge)}"
+    elif kind == "line":
+        spec = f"line:{draw(st.integers(-1, 6))}:{draw(st.integers(-1, 6))}"
+    else:
+        spec = draw(st.sampled_from(_WITNESS_JUNK))
+    field = draw(st.sampled_from(sorted(WITNESS_FIELDS)))
+    literal = st.sampled_from(WITNESS_FIELDS[field])
+    argv = ["free-gens", "--graph", name, "--field", field, "--witness", spec,
+            "--alpha", draw(literal), "--verify-len", draw(st.sampled_from(["1", "2"]))]
+    if draw(st.booleans()):
+        argv += ["--beta", draw(literal)]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=240, deadline=None)
+@given(st.one_of(sum_grammar_argv(), witness_argv()))
 def test_cli_sum_grammar_argv_exits_0_1_or_2(argv):
-    """Every argv over the grammar the one n-ary sum serves ends in exit 0, 1
-    or 2; any other exception escapes and fails the test."""
+    """Every argv over the grammar the one n-ary sum serves, and every
+    ``free-gens --witness`` argv, ends in exit 0, 1 or 2; any other exception
+    escapes and fails the test."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = cli.main(argv)

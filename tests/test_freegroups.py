@@ -55,7 +55,7 @@ def test_sink_pair_toeplitz(graphs_by_name, Q):
     assert algebra.render(pair.a) == "u + v + 2 f*"
     assert algebra.render(pair.b) == "u + v + 2 f"
     assert algebra.verify_inverse(pair.a, pair.a_inv)
-    a_img, b_img = fg.two_by_two_image(pair)
+    a_img, b_img = fg.matrix_images(pair)[:2]
     sanov = fg.sanov_pair(Q, two(Q))
     assert a_img == sanov.a and b_img == sanov.b
 
@@ -69,7 +69,7 @@ def test_example_type_two_sink(graphs_by_name, Q):
     fstar = algebra.star(algebra.edge_element(g, Q, "f"))
     assert pair.a == G1 + fstar.scale(two(Q))
     assert algebra.render(pair.a) == "u + v + w + 2 f*"
-    a_img, b_img = fg.two_by_two_image(pair)
+    a_img, b_img = fg.matrix_images(pair)[:2]
     assert (a_img, b_img) == (fg.sanov_pair(Q, two(Q)).a, fg.sanov_pair(Q, two(Q)).b)
 
 
@@ -84,7 +84,7 @@ def test_example_toeplitz_char_p(graphs_by_name, F5st):
     fstar = algebra.star(algebra.edge_element(t, F5st, "f"))
     expected = u.scale(tt) + v.scale(tt.inverse()) + fstar.scale(s)
     assert pair.a == expected
-    a_img, _ = fg.two_by_two_image(pair)
+    a_img, _ = fg.matrix_images(pair)[:2]
     assert a_img == fg.sanov_pair(F5st, s, tt).a
 
 
@@ -99,7 +99,7 @@ def test_example_breaking_vertex(graphs_by_name, Q):
     assert pair.a == one + (wh * algebra.star(f)).scale(two(Q))
     assert pair.b == one + (f * wh).scale(two(Q))
     assert pair.a_inv == one - (wh * algebra.star(f)).scale(two(Q))
-    a_img, b_img = fg.two_by_two_image(pair)
+    a_img, b_img = fg.matrix_images(pair)[:2]
     sanov = fg.sanov_pair(Q, two(Q))
     assert a_img == sanov.a and b_img == sanov.b
 
@@ -140,8 +140,6 @@ def test_line_graph_pair(graphs_by_name, Q):
     path = algebra.path_element(g, Q, ("e1", "e2", "e3"))
     assert pair.a == algebra.identity(g, Q) + path.scale(two(Q))
     assert pair.b == algebra.identity(g, Q) + algebra.star(path).scale(two(Q))
-    with pytest.raises(fg.WitnessError):
-        fg.two_by_two_image(pair)      # uses the n x n image instead
     imgs = fg.matrix_images(pair)
     assert imgs[0] == pair.matrices.a
     report = fg.verify_free_up_to(pair, 4)
@@ -168,6 +166,13 @@ def test_witness_validation(graphs_by_name, Q):
         fg.build_generators(a4, Q, fg.LineGraph(3, 3), two(Q))
     with pytest.raises(fg.WitnessError):
         fg.build_generators(t, Q, fg.LineGraph(1, 2), two(Q))    # not a line
+    # n - 1 edges but no line: a fork, a merge, a line beside a loop
+    for edges in ("edge x a b\nedge y a c\n", "edge x a b\nedge y c b\n",
+                  "edge x a b\nedge y c c\n"):
+        g = graphs.parse_graph("graph g\nvertex a\nvertex b\nvertex c\n" + edges)
+        with pytest.raises(fg.WitnessError, match="not an oriented line"):
+            fg.build_generators(g, Q, fg.LineGraph(1, 2), two(Q))
+        assert not any(isinstance(w, fg.LineGraph) for w in fg.find_witness(g))
 
 
 def test_lemma_bridge_breaking_to_quotient_sink(graphs_by_name, Q, F5st):
@@ -290,7 +295,7 @@ def test_quotient_sink_witness_from_infinite_emitter(Q):
     assert graphs.classify_vertex(g, "w") == graphs.INFINITE_EMITTER
     pair = fg.build_generators(g, Q, fg.QuotientSink(spec, "f", "w"), two(Q))
     assert algebra.render(pair.a) == "h1 + w + x + 2 f*"
-    a_img, b_img = fg.two_by_two_image(pair)
+    a_img, b_img = fg.matrix_images(pair)[:2]
     sanov = fg.sanov_pair(Q, two(Q))
     assert a_img == sanov.a and b_img == sanov.b
     report = fg.verify_free_up_to(pair, 4)
@@ -383,10 +388,16 @@ def test_line_graph_iso(Q):
             assert len(nonzero) == 1
             images.add(nonzero[0])
         assert len(images) == n * n      # bijective onto the matrix units
+        # v_i -> E_ii, e_i -> E_{i,i+1}, e_i* -> E_{i+1,i}
+        g = iso.graph
+        for i in range(1, n + 1):
+            assert iso.image(algebra.vertex_element(g, Q, f"v{i}")) == \
+                linalg.matrix_unit(Q, n, i, i)
+        for i in range(1, n):
+            e = algebra.edge_element(g, Q, f"e{i}")
+            assert iso.image(e) == linalg.matrix_unit(Q, n, i, i + 1)
+            assert iso.image(algebra.star(e)) == linalg.matrix_unit(Q, n, i + 1, i)
     iso2 = fg.line_graph_iso(2, Q)
-    table = iso2.generator_table()
-    assert table["v1"] == linalg.matrix_unit(Q, 2, 1, 1)
-    assert table["e1"] == linalg.matrix_unit(Q, 2, 1, 2)
     # CK2 at v1 forces e1 e1* = v1 under the iso
     g2 = iso2.graph
     e1 = algebra.edge_element(g2, Q, "e1")

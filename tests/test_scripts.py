@@ -48,7 +48,11 @@ def test_verify_freeness_every_witness_kind(graph, witness):
      "error (CliInputError): --max-len must lie in 1..12"),
     (("--graph", "nosuchgraph", "--witness", "sink:f"),
      "error (CliInputError): no such graph file or corpus name: 'nosuchgraph'"),
-], ids=["unknown-kind", "max-len", "unknown-graph"])
+    # like terms sum to a coefficient longer than the interpreter writes out
+    (("--graph", "toeplitz", "--field", f"Q[x]/(x+{'9' * 4300}+{'9' * 4300})",
+      "--witness", "sink:f"),
+     f"error (RenderError): coefficient exceeds {sys.get_int_max_str_digits()} digits"),
+], ids=["unknown-kind", "max-len", "unknown-graph", "long-modulus"])
 def test_verify_freeness_bad_input_exits_2(argv, message):
     out = run_script("verify_freeness.py", *argv, "--alpha", "2")
     assert out.returncode == 2, out.stderr
