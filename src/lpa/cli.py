@@ -6,6 +6,7 @@ byte-identical for identical inputs and seed."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -33,78 +34,6 @@ DOMAIN_ERRORS = (
 
 class CliInputError(ValueError):
     """Bad command-line inputs that are not covered by a parser error."""
-
-
-def _common_flags(p):
-    p.add_argument("--graph", help="graph file path or bundled corpus name")
-    p.add_argument("--field", default="Q", help="field descriptor (default Q)")
-    p.add_argument(
-        "--mode", choices=(algebra.LEAVITT, algebra.COHN), default=algebra.LEAVITT
-    )
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
-
-
-def build_parser():
-    root = argparse.ArgumentParser(
-        prog="lpa",
-        description="Exact computation in Leavitt and Cohn path algebras",
-    )
-    sub = root.add_subparsers(dest="command", required=True)
-
-    def cmd(name, **kw):
-        p = sub.add_parser(name, **kw)
-        _common_flags(p)
-        return p
-
-    cmd("analyze", help="graph-level predicates and classifications")
-
-    p = cmd("nf", help="normal form of an expression")
-    p.add_argument("--expr", required=True)
-
-    p = cmd("mul", help="product of two expressions")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
-    p = cmd("star", help="involution of an expression")
-    p.add_argument("--expr", required=True)
-
-    p = cmd("quotient", help="quotient graph and kernel generators of (H,S)")
-    p.add_argument("--H", default="", help="comma-separated vertices")
-    p.add_argument("--S", default="", help="comma-separated breaking vertices")
-
-    p = cmd("classify", help="primitive-ideal witness type of (H,S)")
-    p.add_argument("--H", default="")
-    p.add_argument("--S", default="")
-    p.add_argument("--cycle", help="dot-joined cycle edges for a type III check")
-
-    p = cmd("free-gens", help="build and verify a free generator pair")
-    p.add_argument(
-        "--witness",
-        required=True,
-        help="sink:<f> | qsink:<H>;<S>:<f> | breaking:<H>:<w>:<f> | "
-        "tail:<cycle>:<f> | line:<i>:<j>",
-    )
-    p.add_argument("--alpha", required=True, help="field literal")
-    p.add_argument("--beta", help="field literal (characteristic p)")
-    p.add_argument("--verify-len", type=int, default=8)
-
-    cmd("unit-group", help="unit-group structure of the algebra")
-
-    p = cmd("act", help="apply an element to a module vector")
-    p.add_argument(
-        "--module",
-        required=True,
-        help="chen-cycle:<cycle>[:prefix] | sink:<w> | emitter:<v>",
-    )
-    p.add_argument("--expr", required=True)
-    p.add_argument("--vector", required=True, help="e.g. '2*f.@e + 1/3*@e'")
-
-    p = cmd("toeplitz", help="truncated matrix image over the Toeplitz graph")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--size", type=int, default=8)
-    p.add_argument("--det", action="store_true", help="also report the corner determinant")
-    return root
 
 
 # -- input loading ----------------------------------------------------------
@@ -330,18 +259,28 @@ def _run_unit_group(args, ctx):
     return result, [desc.render()], list(desc.diagnostics)
 
 
+def _cycle_edges(raw):
+    """The edge names of a dot-joined cycle, none of them empty."""
+    edges = tuple(raw.split("."))
+    if not all(edges):
+        raise CliInputError(f"cycle {raw!r} has an empty edge name")
+    return edges
+
+
 def _parse_module(args, ctx):
     g, field = ctx["graph"], ctx["field"]
     head, _, rest = args.module.partition(":")
     if head == "chen-cycle":
         bits = rest.split(":")
-        cycle = bits[0].split(".")
+        cycle = _cycle_edges(bits[0])
         if len(bits) > 1 and bits[1]:
             # an optional prefix picks a representative; the tail-equivalence
             # class, and hence the module, is unchanged, so just validate it
             prefix = tuple(bits[1].split("."))
-            reps.canonicalize_rational(g, prefix, tuple(cycle), 0)
+            reps.canonicalize_rational(g, prefix, cycle, 0)
         return reps.chen_module(g, field, cycle)
+    if head in ("sink", "emitter") and not rest:
+        raise CliInputError(f"expected {head}:<vertex>")
     if head == "sink":
         return reps.sink_module(g, field, rest)
     if head == "emitter":
@@ -367,7 +306,7 @@ def _parse_vector(module, raw):
         if "@" in path_raw:
             prefix_raw, cycle_raw = path_raw.split("@", 1)
             prefix = tuple(p for p in prefix_raw.strip(".").split(".") if p)
-            cycle = tuple(cycle_raw.split("."))
+            cycle = _cycle_edges(cycle_raw)
             b = reps.canonicalize_rational(g, prefix, cycle, 0)
         else:
             comps = tuple(p for p in path_raw.split(".") if p)
@@ -389,8 +328,8 @@ def _run_act(args, ctx):
 
 
 def _run_toeplitz(args, ctx):
-    if args.size > toeplitz.MAX_SIZE:
-        raise CliInputError(f"--size must be at most {toeplitz.MAX_SIZE}")
+    if not 2 <= args.size <= toeplitz.MAX_SIZE:
+        raise CliInputError(f"--size must lie in 2..{toeplitz.MAX_SIZE}")
     field = ctx["field"]
     g = toeplitz.toeplitz_graph()
     x = exprs.parse_expr(args.expr, g, field, algebra.LEAVITT)
@@ -405,18 +344,79 @@ def _run_toeplitz(args, ctx):
     return result, lines, []
 
 
-HANDLERS = {
-    "analyze": (_run_analyze, (), True),
-    "nf": (_run_nf, ("expr",), True),
-    "mul": (_run_mul, ("lhs", "rhs"), True),
-    "star": (_run_star, ("expr",), True),
-    "quotient": (_run_quotient, (), True),
-    "classify": (_run_classify, (), True),
-    "free-gens": (_run_free_gens, (), True),
-    "unit-group": (_run_unit_group, (), True),
-    "act": (_run_act, ("expr",), True),
-    "toeplitz": (_run_toeplitz, (), False),
-}
+@functools.cache
+def build_parser():
+    """The ``lpa`` parser, built once per process on first use.  Each
+    subcommand is declared here alone: its flags, its handler, the flags
+    ``main`` parses as expressions and whether it loads ``--graph``."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--graph", help="graph file path or bundled corpus name")
+    common.add_argument("--field", default="Q", help="field descriptor (default Q)")
+    common.add_argument(
+        "--mode", choices=(algebra.LEAVITT, algebra.COHN), default=algebra.LEAVITT
+    )
+    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    common.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
+    root = argparse.ArgumentParser(
+        prog="lpa",
+        description="Exact computation in Leavitt and Cohn path algebras",
+    )
+    sub = root.add_subparsers(dest="command", required=True)
+
+    def cmd(name, summary, handler, expr_keys=(), needs_graph=True):
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(handler=handler, expr_keys=expr_keys, needs_graph=needs_graph)
+        return p
+
+    cmd("analyze", "graph-level predicates and classifications", _run_analyze)
+
+    p = cmd("nf", "normal form of an expression", _run_nf, ("expr",))
+    p.add_argument("--expr", required=True)
+
+    p = cmd("mul", "product of two expressions", _run_mul, ("lhs", "rhs"))
+    p.add_argument("--lhs", required=True)
+    p.add_argument("--rhs", required=True)
+
+    p = cmd("star", "involution of an expression", _run_star, ("expr",))
+    p.add_argument("--expr", required=True)
+
+    p = cmd("quotient", "quotient graph and kernel generators of (H,S)", _run_quotient)
+    p.add_argument("--H", default="", help="comma-separated vertices")
+    p.add_argument("--S", default="", help="comma-separated breaking vertices")
+
+    p = cmd("classify", "primitive-ideal witness type of (H,S)", _run_classify)
+    p.add_argument("--H", default="")
+    p.add_argument("--S", default="")
+    p.add_argument("--cycle", help="dot-joined cycle edges for a type III check")
+
+    p = cmd("free-gens", "build and verify a free generator pair", _run_free_gens)
+    p.add_argument(
+        "--witness",
+        required=True,
+        help="sink:<f> | qsink:<H>;<S>:<f> | breaking:<H>:<w>:<f> | "
+        "tail:<cycle>:<f> | line:<i>:<j>",
+    )
+    p.add_argument("--alpha", required=True, help="field literal")
+    p.add_argument("--beta", help="field literal (characteristic p)")
+    p.add_argument("--verify-len", type=int, default=8)
+
+    cmd("unit-group", "unit-group structure of the algebra", _run_unit_group)
+
+    p = cmd("act", "apply an element to a module vector", _run_act, ("expr",))
+    p.add_argument(
+        "--module",
+        required=True,
+        help="chen-cycle:<cycle>[:prefix] | sink:<w> | emitter:<v>",
+    )
+    p.add_argument("--expr", required=True)
+    p.add_argument("--vector", required=True, help="e.g. '2*f.@e + 1/3*@e'")
+
+    p = cmd("toeplitz", "truncated matrix image over the Toeplitz graph", _run_toeplitz,
+            needs_graph=False)
+    p.add_argument("--expr", required=True)
+    p.add_argument("--size", type=int, default=8)
+    p.add_argument("--det", action="store_true", help="also report the corner determinant")
+    return root
 
 
 def _report(args, ctx, result, diagnostics, error=None):
@@ -445,23 +445,22 @@ def _report(args, ctx, result, diagnostics, error=None):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handler, expr_keys, needs_graph = HANDLERS[args.command]
     ctx = {}
     started = time.monotonic()
     # input-parsing stage: failures exit 2
     try:
         ctx["field"] = fields.parse_descriptor(args.field)
-        if needs_graph:
+        if args.needs_graph:
             ctx["graph"], ctx["graph_text"] = load_graph(args.graph)
         ctx["exprs"] = {
             key: exprs.parse_expr(getattr(args, key), ctx["graph"], ctx["field"], args.mode)
-            for key in expr_keys
+            for key in args.expr_keys
         }
     except (*PARSE_ERRORS, CliInputError, fields.RenderError) as exc:
         return _fail(args, ctx, exc, 2)
     # domain stage: failures exit 1
     try:
-        result, lines, diagnostics = handler(args, ctx)
+        result, lines, diagnostics = args.handler(args, ctx)
     except PARSE_ERRORS as exc:
         return _fail(args, ctx, exc, 2)
     except DOMAIN_ERRORS as exc:

@@ -1,5 +1,6 @@
 """Expression grammar (star lexing is bit-exact) and the CLI surface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -117,6 +118,49 @@ def test_cli_parse_error_exit_2():
     assert out2.returncode == 2
 
 
+def test_cli_parser_built_once_per_process_not_at_import(monkeypatch, capsys):
+    """Importing ``lpa.cli`` builds no parser; the first ``main`` builds it and
+    later calls reuse it, each with a fresh namespace."""
+    out = subprocess.run([sys.executable, "-c", "import lpa.cli; "
+                          "print(lpa.cli.build_parser.cache_info().currsize)"],
+                         capture_output=True, text=True)
+    assert out.stdout == "0\n", out.stderr
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert cli.main(["nf", "--graph", "toeplitz", "--expr", "e", "--json"]) == 0
+    first = len(built)
+    assert first > 10
+    assert json.loads(capsys.readouterr().out)["result"] == {"element": "e"}
+    assert cli.main(["nf", "--graph", "toeplitz", "--expr", "f"]) == 0
+    assert len(built) == first
+    assert capsys.readouterr().out.startswith("f\n")     # --json did not carry over
+
+
+OWN_FLAGS = {
+    "analyze": [], "nf": ["--expr"], "mul": ["--lhs", "--rhs"], "star": ["--expr"],
+    "quotient": ["--H", "--S"], "classify": ["--H", "--S", "--cycle"],
+    "free-gens": ["--witness", "--alpha", "--beta", "--verify-len"], "unit-group": [],
+    "act": ["--module", "--expr", "--vector"], "toeplitz": ["--expr", "--size", "--det"],
+}
+
+
+@pytest.mark.parametrize("command", list(OWN_FLAGS))
+def test_cli_help_lists_common_and_own_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ["--graph", "--field", "--mode", "--json", "--seed", *OWN_FLAGS[command]]:
+        assert f"  {flag}" in text, (command, flag)
+
+
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -150,6 +194,11 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
     # like terms sum to a modulus coefficient longer than the interpreter writes out
     ("nf", "--graph", "toeplitz", "--field", f"Q[x]/(x+{'9' * 4300}+{'9' * 4300})",
      "--expr", "u"),
+    # an empty edge or vertex name in a module vector or module spec
+    *[("act", "--graph", "toeplitz", "--module", "chen-cycle:e", "--expr", "u", "--vector", v)
+      for v in ("@", "f@", "@e.", "@.e", "e.@")],
+    *[("act", "--graph", "ex11", "--module", m, "--expr", "v1", "--vector", "@f")
+      for m in ("chen-cycle:", "chen-cycle:e.", "sink:", "emitter:")],
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
@@ -185,15 +234,15 @@ def test_cli_q_modulus_degree_capped_before_expansion():
 
 
 def test_cli_toeplitz_size_budget():
-    """Past toeplitz.MAX_SIZE the embedding is refused at once (exit 2);
-    below 2 it is a domain error (exit 1)."""
+    """A size outside 2..toeplitz.MAX_SIZE is refused at once (exit 2), on
+    either side of the range."""
     started = time.perf_counter()
     out = run_cli("toeplitz", "--expr", "u + e", "--size", "501", "--det", timeout=60)
     elapsed = time.perf_counter() - started
     assert out.returncode == 2, out.stderr
-    assert out.stderr.startswith("error (CliInputError): --size must be at most 500")
+    assert out.stderr.startswith("error (CliInputError): --size must lie in 2..500")
     assert elapsed < 1, elapsed
-    assert run_cli("toeplitz", "--expr", "u", "--size", "1").returncode == 1
+    assert run_cli("toeplitz", "--expr", "u", "--size", "1").returncode == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -589,12 +638,52 @@ def witness_argv(draw):
     return argv + (["--json"] if draw(st.booleans()) else [])
 
 
+MODULE_FIELDS = {"Q": ["2", "1/3"], "F5": ["3", "4"]}
+_MODULE_JUNK = ["", ":", "chen-cycle:", "chen-cycle:.", "chen-cycle::", "sink:", "sink:.",
+                "emitter:", "emitter::", "nope:v"]
+
+
+@st.composite
+def module_argv(draw):
+    """``act --module`` over every corpus graph: chen-cycle, sink and emitter
+    modules from the graph's own cycles, sinks and emitters (plus an unknown
+    name), malformed specs, and vectors with and without an ``@cycle`` tail."""
+    name = draw(st.sampled_from(corpus.NAMES))
+    g = corpus.load(name)
+    edges = [e.name for e in g.edges]
+    cycles = [".".join(c.edges) for c in g.cycles]
+    kinds = {v: graphs.classify_vertex(g, v) for v in g.vertices}
+    names = {"chen-cycle": cycles,
+             "sink": [v for v, k in kinds.items() if k == graphs.SINK],
+             "emitter": [v for v, k in kinds.items() if k == graphs.INFINITE_EMITTER]}
+    prefix = st.lists(st.sampled_from(4 * edges + ["zz", ""]), max_size=3).map(".".join)
+    kind = draw(st.sampled_from([*names, "junk"]))
+    if kind == "junk":
+        spec = draw(st.sampled_from(_MODULE_JUNK))
+    else:
+        spec = f"{kind}:{draw(st.sampled_from(4 * names[kind] + ['zz']))}"
+        if kind == "chen-cycle" and draw(st.booleans()):
+            spec += ":" + draw(prefix)
+    field = draw(st.sampled_from(sorted(MODULE_FIELDS)))
+    coef = st.sampled_from(MODULE_FIELDS[field] + [""]).map(lambda c: c and c + "*")
+    tail = st.sampled_from(4 * cycles + ["", ".", "zz", "e."]).map("@".__add__)
+    path = st.one_of(prefix, st.sampled_from(list(g.vertices)),
+                     st.tuples(prefix, st.sampled_from(["", "."]), tail).map("".join))
+    vector = " + ".join(draw(st.lists(st.tuples(coef, path).map("".join),
+                                      min_size=1, max_size=4)))
+    atoms = ["1", *g.vertices, *edges, *(e + "*" for e in edges)]
+    expr = " ".join(draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3)))
+    argv = ["act", "--graph", name, "--field", field, "--module", spec,
+            "--expr", expr, "--vector", vector]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
 @settings(max_examples=240, deadline=None)
-@given(st.one_of(sum_grammar_argv(), witness_argv()))
+@given(st.one_of(sum_grammar_argv(), witness_argv(), module_argv()))
 def test_cli_sum_grammar_argv_exits_0_1_or_2(argv):
-    """Every argv over the grammar the one n-ary sum serves, and every
-    ``free-gens --witness`` argv, ends in exit 0, 1 or 2; any other exception
-    escapes and fails the test."""
+    """Every argv over the grammar the one n-ary sum serves, every
+    ``free-gens --witness`` argv and every ``act --module`` argv ends in exit
+    0, 1 or 2; any other exception escapes and fails the test."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = cli.main(argv)
