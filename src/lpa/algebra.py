@@ -50,9 +50,9 @@ def mono_range(g, m):
 
 
 def _validate_monomial(g, m):
-    lam = graphs.make_path(g, m.lam, m.vertex if not m.lam else None)
-    nu = graphs.make_path(g, m.nu, m.vertex if not m.nu else None)
-    if graphs.path_range(g, lam) != m.vertex or graphs.path_range(g, nu) != m.vertex:
+    _, lam_range = graphs.make_path(g, m.lam, m.vertex if not m.lam else None)
+    _, nu_range = graphs.make_path(g, m.nu, m.vertex if not m.nu else None)
+    if lam_range != m.vertex or nu_range != m.vertex:
         raise AlgebraError(f"monomial paths do not share range {m.vertex!r}")
 
 
@@ -240,8 +240,7 @@ def ghost_element(g, field, name, mode=LEAVITT):
 
 
 def path_element(g, field, edges, mode=LEAVITT, vertex=None):
-    p = graphs.make_path(g, edges, vertex)
-    r = graphs.path_range(g, p)
+    _, r = graphs.make_path(g, edges, vertex)
     return element(g, field, mode, {Monomial(tuple(edges), (), r): fields.one(field)})
 
 
@@ -335,60 +334,34 @@ def evaluate_word(letters, inverses=None):
 
 # -- basis enumeration (acyclic graphs) -----------------------------------
 
-def all_paths(g):
-    """Every finite path over named edges; graph must be cycle-free."""
-    if g.cycles:
-        raise AlgebraError("path enumeration needs an acyclic graph")
-    out = [graphs.PathSeq((), v) for v in g.vertices]
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            end = graphs.path_range(g, p)
-            for name in g.out_edges[end]:
-                q = graphs.PathSeq(p.edges + (name,), graphs.path_source(g, p))
-                nxt.append(q)
-        out += nxt
-        frontier = nxt
-    return out
-
-
 def leavitt_basis(g):
     """The canonical Leavitt basis of an acyclic graph: all lam nu* with a
-    common range minus the excluded maximal-edge family."""
-    by_range = {}
-    for p in all_paths(g):
-        by_range.setdefault(graphs.path_range(g, p), []).append(p)
-    basis = []
-    for v, paths in by_range.items():
-        for lam in paths:
-            for nu in paths:
-                m = Monomial(lam.edges, nu.edges, v)
-                if not is_forbidden(g, m):
-                    basis.append(m)
-    return sorted(basis, key=Monomial.sort_key)
+    common range minus the excluded maximal-edge family.  An acyclic path
+    visits each vertex at most once, so the Cohn slice to the vertex count
+    holds every path."""
+    if g.cycles:
+        raise AlgebraError("path enumeration needs an acyclic graph")
+    return [m for m in cohn_basis_up_to(g, len(g.vertices)) if not is_forbidden(g, m)]
 
 
 def cohn_basis_up_to(g, max_len):
     """Cohn basis monomials with |lam|, |nu| <= max_len (finite slice)."""
-    by_range = {}
-    frontier = [graphs.PathSeq((), v) for v in g.vertices]
-    for p in frontier:
-        by_range.setdefault(p.vertex, []).append(p)
+    by_range = {v: [()] for v in g.vertices}
+    frontier = [((), v) for v in g.vertices]    # (edges, range)
     for _ in range(max_len):
         nxt = []
-        for p in frontier:
-            end = graphs.path_range(g, p)
+        for p, end in frontier:
             for name in g.out_edges[end]:
-                q = graphs.PathSeq(p.edges + (name,), graphs.path_source(g, p))
-                nxt.append(q)
-                by_range.setdefault(graphs.path_range(g, q), []).append(q)
+                q = p + (name,)
+                dst = g.range(name)
+                nxt.append((q, dst))
+                by_range[dst].append(q)
         frontier = nxt
     basis = []
     for v, paths in by_range.items():
         for lam in paths:
             for nu in paths:
-                basis.append(Monomial(lam.edges, nu.edges, v))
+                basis.append(Monomial(lam, nu, v))
     return sorted(basis, key=Monomial.sort_key)
 
 

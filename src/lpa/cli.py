@@ -59,6 +59,14 @@ def _vertices(raw):
     return tuple(v for v in (s.strip() for s in raw.split(",")) if v)
 
 
+def _cycle_edges(raw):
+    """The edge names of a dot-joined cycle or path, none of them empty."""
+    edges = tuple(raw.split("."))
+    if not all(edges):
+        raise CliInputError(f"path {raw!r} has an empty edge name")
+    return edges
+
+
 # -- command handlers ---------------------------------------------------------
 
 def _run_analyze(args, ctx):
@@ -140,7 +148,7 @@ def _run_quotient(args, ctx):
 def _run_classify(args, ctx):
     g = ctx["graph"]
     spec = ideals.admissible_pair(g, _vertices(args.H), _vertices(args.S))
-    cycle = graphs.make_cycle(g, args.cycle.split(".")) if args.cycle else None
+    cycle = graphs.make_cycle(g, _cycle_edges(args.cycle)) if args.cycle else None
     report = ideals.classify_primitive_witness(g, spec, cycle)
     kind = report.kind if report.kind != "not_applicable" else "NotApplicable"
     result = {
@@ -195,7 +203,7 @@ def parse_witness(g, text):
         bits = rest.split(":")
         if len(bits) != 2:
             raise CliInputError("expected tail:<cycle>:<f>")
-        cycle = graphs.make_cycle(g, bits[0].split("."))
+        cycle = graphs.make_cycle(g, _cycle_edges(bits[0]))
         f = bits[1]
         if f not in g.edge_map:
             raise CliInputError(f"unknown edge {f!r}")
@@ -259,14 +267,6 @@ def _run_unit_group(args, ctx):
     return result, [desc.render()], list(desc.diagnostics)
 
 
-def _cycle_edges(raw):
-    """The edge names of a dot-joined cycle, none of them empty."""
-    edges = tuple(raw.split("."))
-    if not all(edges):
-        raise CliInputError(f"cycle {raw!r} has an empty edge name")
-    return edges
-
-
 def _parse_module(args, ctx):
     g, field = ctx["graph"], ctx["field"]
     head, _, rest = args.module.partition(":")
@@ -276,8 +276,7 @@ def _parse_module(args, ctx):
         if len(bits) > 1 and bits[1]:
             # an optional prefix picks a representative; the tail-equivalence
             # class, and hence the module, is unchanged, so just validate it
-            prefix = tuple(bits[1].split("."))
-            reps.canonicalize_rational(g, prefix, cycle, 0)
+            reps.canonicalize_rational(g, _cycle_edges(bits[1]), cycle, 0)
         return reps.chen_module(g, field, cycle)
     if head in ("sink", "emitter") and not rest:
         raise CliInputError(f"expected {head}:<vertex>")
@@ -304,6 +303,8 @@ def _parse_vector(module, raw):
         if not all(p.isidentifier() for p in path_raw.replace("@", ".").split(".") if p):
             raise CliInputError(f"vector path {path_raw!r} has a name that is not an identifier")
         if "@" in path_raw:
+            if path_raw.count("@") > 1:
+                raise CliInputError(f"vector term {term!r} has more than one @")
             prefix_raw, cycle_raw = path_raw.split("@", 1)
             prefix = tuple(p for p in prefix_raw.strip(".").split(".") if p)
             cycle = _cycle_edges(cycle_raw)

@@ -220,23 +220,15 @@ def has_countable_separation(g):
 
 # -- paths and cycles -----------------------------------------------------
 
-@dataclass(frozen=True)
-class PathSeq:
-    """A finite path: an edge-name sequence, or a trivial path at a vertex."""
-    edges: tuple
-    vertex: str     # = source when edges nonempty is implied; anchor when trivial
-
-    def __len__(self):
-        return len(self.edges)
-
-
 def make_path(g, edges, vertex=None):
+    """The checked ``(source, range)`` of the path along the edge names
+    ``edges``; a trivial path is the one at ``vertex``."""
     edges = tuple(edges)
     if not edges:
         if vertex is None:
             raise GraphError("trivial path needs a vertex")
         g.require_vertex(vertex)
-        return PathSeq((), vertex)
+        return vertex, vertex
     prev = None
     for name in edges:
         if name not in g.edge_map:
@@ -248,15 +240,7 @@ def make_path(g, edges, vertex=None):
     src = g.edge_map[edges[0]].src
     if vertex is not None and vertex != src:
         raise GraphError("declared source does not match the first edge")
-    return PathSeq(edges, src)
-
-
-def path_source(g, p):
-    return p.vertex if not p.edges else g.edge_map[p.edges[0]].src
-
-
-def path_range(g, p):
-    return p.vertex if not p.edges else g.edge_map[p.edges[-1]].dst
+    return src, prev
 
 
 @dataclass(frozen=True)
@@ -272,8 +256,8 @@ def make_cycle(g, edges):
     edges = tuple(edges)
     if not edges:
         raise GraphError("a cycle has at least one edge")
-    p = make_path(g, edges)
-    if path_source(g, p) != path_range(g, p):
+    src, dst = make_path(g, edges)
+    if src != dst:
         raise GraphError("edge sequence is not closed")
     sources = [g.edge_map[e].src for e in edges]
     if len(set(sources)) != len(sources):

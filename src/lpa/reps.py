@@ -64,8 +64,8 @@ def canonicalize_rational(g, prefix, cycle, phase):
     phase %= n
     prefix = tuple(prefix)
     if prefix:
-        p = graphs.make_path(g, prefix)
-        if graphs.path_range(g, p) != g.edge_map[c.edges[phase]].src:
+        _, end = graphs.make_path(g, prefix)
+        if end != g.edge_map[c.edges[phase]].src:
             raise ModuleError("prefix does not compose with the cycle tail")
     prefix = list(prefix)
     while prefix and prefix[-1] == c.edges[(phase - 1) % n]:
@@ -172,7 +172,7 @@ def _validate_basis(module, b):
         kind = module.kind      # "sink" or "emitter"
         if not isinstance(b, FinitePath) or b.end != module.vertex:
             raise ModuleError(f"vector does not belong to this {kind} module")
-        if b.path and graphs.path_range(g, graphs.make_path(g, b.path)) != module.vertex:
+        if b.path and graphs.make_path(g, b.path)[1] != module.vertex:
             raise ModuleError(f"path does not end at the {kind}")
 
 

@@ -273,6 +273,39 @@ def recursive_paths_into(g, excluded_edges):
     return counts
 
 
+def all_paths(g):
+    """Every finite path over named edges as ``(edges, range)``, breadth-first
+    from the trivial paths; the graph must be cycle-free."""
+    if g.cycles:
+        raise ValueError("path enumeration needs an acyclic graph")
+    out = [((), v) for v in g.vertices]
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for p, end in frontier:
+            for name in g.out_edges[end]:
+                nxt.append((p + (name,), g.range(name)))
+        out += nxt
+        frontier = nxt
+    return out
+
+
+def paired_basis(g, leavitt):
+    """Every lam nu* over two paths of ``all_paths`` with a common range,
+    without the forbidden family when ``leavitt``, in basis order."""
+    by_range = {}
+    for p, end in all_paths(g):
+        by_range.setdefault(end, []).append(p)
+    basis = []
+    for v, paths in by_range.items():
+        for lam in paths:
+            for nu in paths:
+                m = algebra.Monomial(lam, nu, v)
+                if not (leavitt and algebra.is_forbidden(g, m)):
+                    basis.append(m)
+    return sorted(basis, key=algebra.Monomial.sort_key)
+
+
 def pairwise_downward_directed(g):
     """Every pair of vertices has a common descendant, pair by pair."""
     desc = {v: {w for w in g.vertices if graphs.reaches(g, v, w)} for v in g.vertices}

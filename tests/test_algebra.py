@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import sampling
@@ -214,12 +215,12 @@ def test_pq_scalar_identity(graphs_by_name, Q):
     paths = [("g",), ("g", "f"), ("h",), ("h", "f"), ("f",), ("f", "f")]
     for pe in paths:
         p = algebra.path_element(g, Q, pe)
-        v = graphs.path_range(g, graphs.make_path(g, pe))
+        _, v = graphs.make_path(g, pe)
         assert algebra.star(p) * p == algebra.vertex_element(g, Q, v)
         for qe in paths:
             if pe == qe:
                 continue
-            if graphs.path_range(g, graphs.make_path(g, qe)) != v:
+            if graphs.make_path(g, qe)[1] != v:
                 continue
             q = algebra.path_element(g, Q, qe)
             prod = algebra.star(p) * q
@@ -274,13 +275,72 @@ def test_cohn_products_stay_in_the_monomial_basis(graphs_by_name, Q, rng):
     assert len(slice_) > len(algebra.leavitt_basis(g))
 
 
-def test_leavitt_basis_counts(graphs_by_name, Q):
+def check_bases(g):
+    """Both bases of the acyclic, bundle-free g against the counting oracle
+    (L_K(E) = sum over sinks w of M_n(w)(K), n(v) the paths into v) and
+    the breadth-first reference walk, order included."""
+    counts = oracles.recursive_paths_into(g, set())
+    sinks = [v for v in g.vertices if graphs.classify_vertex(g, v) == graphs.SINK]
+    leavitt = algebra.leavitt_basis(g)
+    cohn = algebra.cohn_basis_up_to(g, len(g.vertices))
+    assert len(leavitt) == sum(counts[w] ** 2 for w in sinks)
+    assert len(cohn) == sum(n ** 2 for n in counts.values())
+    assert leavitt == oracles.paired_basis(g, leavitt=True)
+    assert cohn == oracles.paired_basis(g, leavitt=False)
+    assert len(set(leavitt)) == len(leavitt) and len(set(cohn)) == len(cohn)
+    assert not any(algebra.is_forbidden(g, m) for m in leavitt)
+
+
+def test_leavitt_basis_counts(graphs_by_name):
+    for g in graphs_by_name.values():
+        if g.cycles:
+            with pytest.raises(algebra.AlgebraError, match="needs an acyclic graph"):
+                algebra.leavitt_basis(g)
+        elif not g.bundles:
+            check_bases(g)
     for n in (2, 3, 4, 5):
-        g = graphs_by_name[f"a{n}"]
-        basis = algebra.leavitt_basis(g)
-        assert len(basis) == n * n
-        for m in basis:
-            assert not algebra.is_forbidden(g, m)
+        assert len(algebra.leavitt_basis(graphs_by_name[f"a{n}"])) == n * n
+
+
+@st.composite
+def small_dags(draw):
+    """Acyclic graphs on up to 7 vertices: each edge (parallel ones
+    included) runs forward in a drawn rank order, the vertices are declared
+    in another, and each emitting vertex draws its ``order`` permutation."""
+    n = draw(st.integers(1, 7))
+    names = [f"v{i}" for i in range(n)]
+    rank = draw(st.permutations(names))
+    edges = []
+    for k in range(draw(st.integers(0, 12 if n > 1 else 0))):
+        i = draw(st.integers(0, n - 2))
+        edges.append((f"e{k}", rank[i], rank[draw(st.integers(i + 1, n - 1))]))
+    out = {}
+    for e, src, _ in edges:
+        out.setdefault(src, []).append(e)
+    order = {v: draw(st.permutations(es)) for v, es in out.items()}
+    return graphs.make_graph("dag", names, edges, order=order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_dags())
+def test_bases_of_random_dags(g):
+    check_bases(g)
+
+
+def test_element_refuses_malformed_monomials(graphs_by_name, Q):
+    """A monomial whose paths do not exist or do not share its range is
+    refused with the message of the check that catches it."""
+    t = graphs_by_name["toeplitz"]
+    for lam, nu, v, error, message in [
+        (("e",), (), "v", algebra.AlgebraError, "monomial paths do not share range 'v'"),
+        (("f",), ("e",), "v", algebra.AlgebraError, "monomial paths do not share range 'v'"),
+        (("f", "e"), (), "u", graphs.GraphError, "path breaks at 'e': v != u"),
+        ((), ("zz",), "u", graphs.GraphError, "unknown edge 'zz'"),
+        ((), (), "zz", graphs.GraphError, "unknown vertex 'zz' in graph 'toeplitz'"),
+    ]:
+        with pytest.raises(error) as info:
+            algebra.element(t, Q, algebra.LEAVITT, {algebra.Monomial(lam, nu, v): fields.one(Q)})
+        assert str(info.value) == message
 
 
 def test_mode_and_field_mismatch(graphs_by_name, Q, F5):

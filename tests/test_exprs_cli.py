@@ -11,7 +11,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sampling
 from conftest import complete_digraph, gens, line_text
@@ -199,6 +199,14 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
       for v in ("@", "f@", "@e.", "@.e", "e.@")],
     *[("act", "--graph", "ex11", "--module", m, "--expr", "v1", "--vector", "@f")
       for m in ("chen-cycle:", "chen-cycle:e.", "sink:", "emitter:")],
+    # a second @ in a vector term
+    *[("act", "--graph", "toeplitz", "--module", "chen-cycle:e", "--expr", "u", "--vector", v)
+      for v in ("e@f@g", "e@e@")],
+    # an empty edge name in a --cycle value, a tail: cycle or a chen-cycle: prefix
+    ("classify", "--graph", "toeplitz", "--cycle", "e."),
+    ("free-gens", "--graph", "toeplitz", "--witness", "tail:.e:f", "--alpha", "2"),
+    *[("act", "--graph", "toeplitz", "--module", m, "--expr", "u", "--vector", "@e")
+      for m in ("chen-cycle:e:.e", "chen-cycle:e:e.", "chen-cycle:e:f.")],
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
@@ -690,3 +698,89 @@ def test_cli_sum_grammar_argv_exits_0_1_or_2(argv):
         except SystemExit as exc:     # argparse refuses the argv
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+# -- argv fuzz over graph text ---------------------------------------------------
+
+_GRAPH_JUNK = ["frob v0", "vertex", "vertex 1v", "vertex v0 v1", "edge e0", "edge e0 v0",
+               "graph", "graph g h", "graph g2", "bundle v0", "order", "order v0 e0",
+               "order zz: e0", "order v0: zz", "edge v0 v0 v0", "vertex v0"]
+
+
+def _cycle_text(n):
+    return (f"graph c{n}\n" + "".join(f"vertex v{i}\n" for i in range(1, n + 1))
+            + "".join(f"edge e{i} v{i} v{i % n + 1}\n" for i in range(1, n + 1)))
+
+
+@st.composite
+def _random_graph_text(draw):
+    """Up to six vertices and eight edges over a small name pool, so names
+    repeat, collide and dangle; bundles; ``order`` lines that may not be
+    permutations."""
+    vertices = draw(st.lists(st.sampled_from([f"v{i}" for i in range(6)]), min_size=1,
+                             max_size=6, unique=draw(st.booleans())))
+    end = st.sampled_from(8 * vertices + ["zz"])
+    edges = [(draw(st.sampled_from(12 * [f"e{k}"] + ["e0", "v0"])), draw(end), draw(end))
+             for k in range(draw(st.integers(0, 8)))]
+    lines = ["graph g"] + [f"vertex {v}" for v in vertices]
+    lines += [f"edge {name} {src} {dst}" for name, src, dst in edges]
+    lines += [f"bundle {draw(end)} {draw(end)}" for _ in range(draw(st.integers(0, 2)))]
+    for v in draw(st.lists(end, max_size=2)):
+        out = [name for name, src, _ in edges if src == v]
+        names = draw(st.one_of(st.permutations(out), st.lists(st.sampled_from(out + ["zz"]))))
+        lines.append(f"order {v}: {' '.join(names)}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def graph_text_argvs(draw):
+    """A graph file's text and six argv to run on it: random graphs, lines of
+    a few hundred vertices, long cycles and complete digraphs up to K9 (past
+    the cycle budget), with the odd junk line; ``analyze``, ``unit-group``,
+    ``quotient`` and ``classify`` with a drawn ``--H``, ``nf``, and
+    ``free-gens --witness sink:<edge>`` at ``--verify-len`` 1 or 2."""
+    text = draw(st.one_of(_random_graph_text(),
+                          st.builds(line_text, st.integers(100, 400)),
+                          st.builds(_cycle_text, st.integers(100, 400)),
+                          st.builds(complete_digraph, st.integers(2, 9))))
+    lines = text.splitlines()
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_GRAPH_JUNK)))
+    words = [line.split() for line in lines]
+    vertices = [w[1] for w in words if len(w) > 1 and w[0] == "vertex"] + ["zz"]
+    edges = [w[1] for w in words if len(w) > 1 and w[0] == "edge"] + ["zz"]
+    # a suffix of the declared vertices is hereditary on a line
+    H = st.one_of(st.lists(st.sampled_from(vertices), max_size=3),
+                  st.integers(0, len(vertices)).map(lambda k: vertices[k:-1])).map(",".join)
+    atoms = ["1", *vertices, *edges, *(e + "*" for e in edges)]
+    # the last declared edge enters the sink of a line
+    edge = draw(st.sampled_from(edges) | st.sampled_from(edges[-2:]))
+    argvs = [
+        ["analyze"],
+        ["unit-group"],
+        ["quotient", "--H", draw(H)],
+        ["classify", "--H", draw(H)],
+        ["nf", "--expr", " ".join(draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3)))],
+        ["free-gens", "--witness", f"sink:{edge}", "--alpha", "2",
+         "--verify-len", draw(st.sampled_from(["1", "2"]))],
+    ]
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    return "\n".join(lines) + "\n", [argv + json_flag for argv in argvs]
+
+
+# the file is written afresh by every example, so sharing tmp_path is safe
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph_text_argvs())
+def test_cli_graph_text_argv_exits_0_1_or_2(tmp_path, case):
+    """Every graph file, well formed or not, ends each command in exit 0, 1
+    or 2 within 5 s; any other exception escapes and fails the test."""
+    text, argvs = case
+    gfile = tmp_path / "fuzz.lpa"
+    gfile.write_text(text)
+    for argv in argvs:
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv + ["--graph", str(gfile)])
+        elapsed = time.perf_counter() - started
+        assert code in (0, 1, 2), argv
+        assert elapsed < 5, (argv, elapsed)

@@ -223,23 +223,31 @@ def test_paths():
     g = graphs.parse_graph(
         "graph g\nvertex a\nvertex b\nvertex c\nedge e a b\nedge f b c\n"
     )
-    p = graphs.make_path(g, ["e", "f"])
-    assert graphs.path_source(g, p) == "a"
-    assert graphs.path_range(g, p) == "c"
-    with pytest.raises(graphs.GraphError):
-        graphs.make_path(g, ["f", "e"])
-    trivial = graphs.make_path(g, [], "b")
-    assert graphs.path_range(g, trivial) == "b"
+    assert graphs.make_path(g, ["e", "f"]) == ("a", "c")
+    assert graphs.make_path(g, ["e", "f"], "a") == ("a", "c")
+    assert graphs.make_path(g, [], "b") == ("b", "b")
+    for edges, vertex, message in [
+        (["f", "e"], None, "path breaks at 'e': c != a"),
+        (["e", "zz"], None, "unknown edge 'zz'"),
+        ([], None, "trivial path needs a vertex"),
+        ([], "zz", "unknown vertex 'zz' in graph 'g'"),
+        (["f"], "a", "declared source does not match the first edge"),
+    ]:
+        with pytest.raises(graphs.GraphError) as info:
+            graphs.make_path(g, edges, vertex)
+        assert str(info.value) == message
 
 
 def test_cycle_validation(graphs_by_name):
     g = graphs_by_name["r2"]
     c = graphs.make_cycle(g, ["e1"])
     assert c.base == "u"
-    with pytest.raises(graphs.GraphError):
+    with pytest.raises(graphs.GraphError, match="^cycle sources must be pairwise distinct$"):
         graphs.make_cycle(g, ["e1", "e2"])      # repeated source
+    with pytest.raises(graphs.GraphError, match="^a cycle has at least one edge$"):
+        graphs.make_cycle(g, [])
     t = graphs_by_name["toeplitz"]
-    with pytest.raises(graphs.GraphError):
+    with pytest.raises(graphs.GraphError, match="^edge sequence is not closed$"):
         graphs.make_cycle(t, ["f"])             # not closed
 
 

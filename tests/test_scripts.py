@@ -1,4 +1,5 @@
-"""Smoke tests: the README's scripts run to completion and exit 0."""
+"""Smoke tests: the README's scripts and the benchmark's self-tests run to
+completion and exit 0."""
 
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 
 import pytest
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def run_script(name, *argv):
@@ -14,6 +16,16 @@ def run_script(name, *argv):
         [sys.executable, os.path.join(SCRIPTS, name), *argv],
         capture_output=True, text=True, timeout=300,
     )
+
+
+def test_bench_self_tests_pass():
+    """The benchmark's own unittest suite, run from the repository root as
+    its module docstring asks."""
+    out = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "bench", "-p", "test_*.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 def test_verify_freeness_over_function_field():
