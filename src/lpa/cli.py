@@ -173,6 +173,8 @@ def parse_witness(g, text):
     """The witness that a ``--witness`` spec names on the graph g."""
     head, _, rest = text.partition(":")
     if head == "sink":
+        if ":" in rest:
+            raise CliInputError("expected sink:<f>")
         return freegroups.SinkEdge(rest)
     if head == "qsink":
         bits = rest.split(":")
@@ -272,6 +274,8 @@ def _parse_module(args, ctx):
     head, _, rest = args.module.partition(":")
     if head == "chen-cycle":
         bits = rest.split(":")
+        if len(bits) > 2:
+            raise CliInputError("expected chen-cycle:<cycle>[:<prefix>]")
         cycle = _cycle_edges(bits[0])
         if len(bits) > 1 and bits[1]:
             # an optional prefix picks a representative; the tail-equivalence
@@ -305,12 +309,14 @@ def _parse_vector(module, raw):
         if "@" in path_raw:
             if path_raw.count("@") > 1:
                 raise CliInputError(f"vector term {term!r} has more than one @")
+            # the prefix ends in one optional dot before the @
             prefix_raw, cycle_raw = path_raw.split("@", 1)
-            prefix = tuple(p for p in prefix_raw.strip(".").split(".") if p)
+            prefix_raw = prefix_raw.removesuffix(".")
+            prefix = _cycle_edges(prefix_raw) if prefix_raw else ()
             cycle = _cycle_edges(cycle_raw)
             b = reps.canonicalize_rational(g, prefix, cycle, 0)
         else:
-            comps = tuple(p for p in path_raw.split(".") if p)
+            comps = _cycle_edges(path_raw) if path_raw else ()
             if module.kind == "chen":
                 raise CliInputError("chen-module vectors need an @cycle tail")
             path = () if comps == (module.vertex,) else comps

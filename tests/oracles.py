@@ -8,15 +8,17 @@ extensions, term-by-term and row-by-column products in ``FieldElement``
 arithmetic for the payload kernels of the algebra and matrix products and
 of the shared linear-combination core, the cofactor determinant,
 function-field fractions reduced by the general gcd for every denominator,
-the recursive and pairwise graph walks that the iterative ones replaced, and
-the two-branch module basis sampler that scans every edge of the graph.
+the recursive and pairwise graph walks that the iterative ones replaced,
+the two-branch module basis sampler that scans every edge of the graph, and
+the two-sided word walk that evaluates every reduced word both in the
+algebra and in the matrix corner, with no corner certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lpa import algebra, fields, graphs, linalg, polys, reps
+from lpa import algebra, fields, freegroups, graphs, linalg, polys, reps
 
 # symbols: ("v", name) | ("e", name) | ("g", name)  (g = ghost edge)
 
@@ -503,3 +505,51 @@ def sample_basis(module, count):
                     nxt.append(p)
         frontier = nxt
     return out[:count]
+
+
+# -- free words ----------------------------------------------------------------
+
+
+def two_sided_free_report(pair, L):
+    """Evaluate every nonempty reduced word of length <= L over the pair and
+    its inverses, in the algebra and in the matrix corner."""
+    if not 1 <= L <= freegroups.MAX_VERIFY_LEN:
+        raise ValueError(f"word length bound must lie in 1..{freegroups.MAX_VERIFY_LEN}")
+    a, b = pair.names
+    names = (a, b, a + "^-1", b + "^-1")
+    alg = (pair.a, pair.b, pair.a_inv, pair.b_inv)
+    pm = pair.matrices
+    mat = (pm.a, pm.b, pm.a_inv, pm.b_inv)
+    inverse_of = (2, 3, 0, 1)
+    one_alg = algebra.identity(pair.graph, pair.field)
+    one_mat = linalg.identity_matrix(pair.field, mat[0].n)
+    checked = 0
+    failures = []
+    matrix_ok = True
+    stack = [(one_alg, one_mat, -1, 0, ())]
+    while stack:
+        elt, m, last, depth, word = stack.pop()
+        if depth == L:
+            continue
+        for k in range(4):
+            if last >= 0 and k == inverse_of[last]:
+                continue
+            nelt = elt * alg[k]
+            nmat = m * mat[k]
+            nword = word + (names[k],)
+            checked += 1
+            alg_trivial = nelt == one_alg
+            mat_trivial = nmat == one_mat
+            if alg_trivial:
+                failures.append(" ".join(nword))
+            if mat_trivial:
+                matrix_ok = False
+            if alg_trivial and not mat_trivial:
+                # impossible for a homomorphism; flag loudly
+                failures.append("INCONSISTENT: " + " ".join(nword))
+                matrix_ok = False
+            stack.append((nelt, nmat, k, depth + 1, nword))
+    if checked != freegroups.expected_word_count(L):
+        raise freegroups.WitnessError(
+            f"checked {checked} words, expected {freegroups.expected_word_count(L)}")
+    return freegroups.FreenessReport(L, checked, not failures, matrix_ok, tuple(failures[:32]))

@@ -207,6 +207,14 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
     ("free-gens", "--graph", "toeplitz", "--witness", "tail:.e:f", "--alpha", "2"),
     *[("act", "--graph", "toeplitz", "--module", m, "--expr", "u", "--vector", "@e")
       for m in ("chen-cycle:e:.e", "chen-cycle:e:e.", "chen-cycle:e:f.")],
+    # a spare piece of a sink: witness or a chen-cycle: module
+    ("free-gens", "--graph", "toeplitz", "--witness", "sink:f:junk", "--alpha", "2"),
+    ("act", "--graph", "r1", "--module", "chen-cycle:e:e:junk", "--expr", "u", "--vector", "@e"),
+    # an empty piece of a vector path, before an @ tail or in a finite path
+    *[("act", "--graph", "r1", "--module", "chen-cycle:e", "--expr", "u", "--vector", v)
+      for v in ("e..@e", ".e.@e")],
+    *[("act", "--graph", "toeplitz", "--module", "sink:v", "--expr", "u", "--vector", v)
+      for v in ("e..f", "f.", ".f")],
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)

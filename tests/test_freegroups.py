@@ -1,8 +1,11 @@
 """Free-subgroup generators, matrix images, word verification, unit groups."""
 
+from fractions import Fraction
+
 import pytest
 
-from lpa import algebra, fields, graphs, ideals, linalg, freegroups as fg
+import oracles
+from lpa import algebra, cli, fields, graphs, ideals, linalg, freegroups as fg
 from lpa import reps
 
 
@@ -253,6 +256,123 @@ def test_verify_free_counts(graphs_by_name, Q):
     assert report.words_checked == 4 + 12 + 36
     assert report.all_nontrivial and report.matrix_crosscheck
     assert fg.expected_word_count(8) == 13120
+
+
+def _witnesses(graphs_by_name, prime):
+    """One (graph, witness) per witness kind; in characteristic p the
+    breaking vertex needs an edge whose source is not the vertex."""
+    e11, e35 = graphs_by_name["ex11"], graphs_by_name["ex35"]
+    spec = ideals.admissible_pair(e11, ("v1", "v2"), ("v",))
+    return {
+        "sink": (graphs_by_name["toeplitz"], fg.SinkEdge("f")),
+        "qsink": (e35, fg.QuotientSink(ideals.admissible_pair(e35, ("w",), ()), "f", "v")),
+        "breaking": (e11, fg.BreakingVertex(spec, "w", "g" if prime else "f")),
+        "tail": (e11, fg.RationalPathEdge("h", reps.canonicalize_rational(e11, (), ("f",), 0))),
+        "line": (graphs_by_name["a5"], fg.LineGraph(2, 5)),
+    }
+
+
+def _parameters(name, field):
+    if name == "Q":
+        return fields.from_int(field, 2), None
+    if name == "Q(t)":
+        return fields.variable(field, "t"), None
+    return fields.variable(field, "s"), fields.variable(field, "t")
+
+
+def _forced_pair(monkeypatch, g, field, witness, case, alpha, beta=None):
+    """A pair whose parameters ``validate_parameters`` would refuse: the
+    characteristic case is forced, so the matrix side need not be free."""
+    with monkeypatch.context() as m:
+        m.setattr(fg, "validate_parameters", lambda *args: case)
+        return fg.build_generators(g, field, witness, alpha, beta)
+
+
+@pytest.mark.parametrize("kind", ["sink", "qsink", "breaking", "tail", "line"])
+@pytest.mark.parametrize("field_name", ["Q", "Q(t)", "F5(s,t)"])
+def test_certified_walk_matches_two_sided_oracle(graphs_by_name, kind, field_name):
+    """The certified matrix walk reports what evaluating every word on both
+    sides reports, for each witness kind over each field kind."""
+    field = fields.parse_descriptor(field_name)
+    g, witness = _witnesses(graphs_by_name, field.char != 0)[kind]
+    pair = fg.build_generators(g, field, witness, *_parameters(field_name, field))
+    assert fg.certify_corner(pair, 6) <= 6 < fg.MAX_CORNER_DIM
+    for L in range(1, 7):
+        assert fg.verify_free_up_to(pair, L) == oracles.two_sided_free_report(pair, L)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(1, 2)])
+def test_non_free_pairs_match_the_oracle_to_length_10(graphs_by_name, Q, monkeypatch, alpha):
+    """alpha = 1 and 1/2 lie outside Sanov's range: words of length <= 10
+    are trivial, and both walks list the same ones in the same order."""
+    pair = _forced_pair(monkeypatch, graphs_by_name["toeplitz"], Q, fg.SinkEdge("f"),
+                        "zero", fields.from_fraction(Q, alpha))
+    report = fg.verify_free_up_to(pair, 10)
+    assert report == oracles.two_sided_free_report(pair, 10)
+    assert not report.all_nontrivial and not report.matrix_crosscheck
+
+
+def test_identity_matrix_alone_is_not_a_failure(graphs_by_name, F5, monkeypatch):
+    """Over F5 with alpha = 1, beta = 2 the matrix group is finite, and a
+    word whose matrix is I need not be 1 in the algebra: (c d)^3 is
+    u + v + 3 e e*, which the corner sends to I.  Only the words that are 1
+    in the algebra are failures, as the oracle lists them."""
+    pair = _forced_pair(monkeypatch, graphs_by_name["toeplitz"], F5, fg.SinkEdge("f"),
+                        "prime", fields.from_int(F5, 1), fields.from_int(F5, 2))
+    cd = pair.a * pair.b
+    assert fg.element_image(pair, cd * cd * cd) == linalg.identity_matrix(F5, 2)
+    assert algebra.render(cd * cd * cd) == "u + v + 3 e e*"
+    report = fg.verify_free_up_to(pair, 6)
+    assert report == oracles.two_sided_free_report(pair, 6)
+    assert not report.all_nontrivial and not report.matrix_crosscheck
+
+
+def _transpose(m):
+    return linalg.square(m.field, m.n, {(j, i): c for (i, j), c in m.terms})
+
+
+@pytest.mark.parametrize("kind", ["sink", "qsink", "breaking", "tail", "line"])
+def test_certificate_refuses_an_anti_homomorphism(graphs_by_name, Q, monkeypatch, kind):
+    """A transposed corner with transposed matrix units passes the check of
+    the generators' images, but it reverses products, and the certificate
+    refuses it from length 2 on."""
+    corner = fg._corner
+
+    def transposed(*args):
+        parts, n, units, image = corner(*args)
+        return parts, n, tuple((j, i) for i, j in units), lambda x: _transpose(image(x))
+
+    monkeypatch.setattr(fg, "_corner", transposed)
+    g, witness = _witnesses(graphs_by_name, False)[kind]
+    pair = fg.build_generators(g, Q, witness, two(Q))
+    assert fg.verify_free_up_to(pair, 1).all_nontrivial
+    with pytest.raises(fg.WitnessError, match="not multiplicative"):
+        fg.verify_free_up_to(pair, 2)
+
+
+def test_walk_multiplies_in_the_algebra_only_on_identity_matrices(graphs_by_name, Q,
+                                                                   monkeypatch):
+    """No word of the free pair has the identity matrix, so with the
+    certificate stubbed out the walk makes no algebra product at all."""
+    pair = fg.build_generators(graphs_by_name["toeplitz"], Q, fg.SinkEdge("f"), two(Q))
+    calls = []
+    mul = algebra.AlgebraElement.__mul__
+    monkeypatch.setattr(fg, "certify_corner", lambda pair, L: 0)
+    monkeypatch.setattr(algebra.AlgebraElement, "__mul__",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    assert fg.verify_free_up_to(pair, 6).all_nontrivial
+    assert calls == []
+
+
+def test_corner_budget_overflow_exits_1(monkeypatch, capsys):
+    argv = ["free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "2",
+            "--verify-len", "2"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(fg, "MAX_CORNER_DIM", 3)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "MAX_CORNER_DIM = 3" in capsys.readouterr().err
+    assert cli.main(argv[:-1] + ["1"]) == 0         # no certificate at length 1
 
 
 def test_word_length_one_nontrivial(graphs_by_name, Q):

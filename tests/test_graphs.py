@@ -259,7 +259,7 @@ def test_cycle_rotation():
     r = graphs.rotate_cycle(g, c, 1)
     assert r.edges == ("q", "p") and r.base == "b"
     assert graphs.same_cycle(c, r)
-    assert not graphs.same_cycle(c, graphs.make_cycle(g, ["p", "q"])) or True
+    assert graphs.same_cycle(c, graphs.make_cycle(g, ["p", "q"]))
     other = graphs.parse_graph("graph h\nvertex a\nedge x a a\nedge y a a\n")
     assert not graphs.same_cycle(
         graphs.make_cycle(other, ["x"]), graphs.make_cycle(other, ["y"])
