@@ -44,10 +44,11 @@ def sweep(args):
         report = freegroups.verify_free_up_to(pair, L)
         dt = time.monotonic() - t0
         verdict = "all nontrivial" if report.all_nontrivial else "FAILED"
-        cross = "consistent" if report.matrix_crosscheck else "INCONSISTENT"
+        matrices = "no word's matrix is I" if report.matrix_crosscheck \
+            else "some word's matrix is I"
         print(
             f"  L = {L}: {report.words_checked:6d} words, {verdict}, "
-            f"matrix image {cross} [{dt:.2f}s]"
+            f"{matrices} [{dt:.2f}s]"
         )
         if not report.all_nontrivial:
             for w in report.failures[:5]:

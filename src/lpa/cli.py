@@ -282,12 +282,11 @@ def _parse_module(args, ctx):
             # class, and hence the module, is unchanged, so just validate it
             reps.canonicalize_rational(g, _cycle_edges(bits[1]), cycle, 0)
         return reps.chen_module(g, field, cycle)
-    if head in ("sink", "emitter") and not rest:
-        raise CliInputError(f"expected {head}:<vertex>")
-    if head == "sink":
-        return reps.sink_module(g, field, rest)
-    if head == "emitter":
-        return reps.emitter_module(g, field, rest)
+    if head in ("sink", "emitter"):
+        if not rest or ":" in rest:
+            raise CliInputError(f"expected {head}:<vertex>")
+        make = reps.sink_module if head == "sink" else reps.emitter_module
+        return make(g, field, rest)
     raise CliInputError(f"unknown module kind {head!r}")
 
 

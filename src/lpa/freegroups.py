@@ -1,12 +1,13 @@
 """Free-subgroup generators inside unit groups of path algebras.
 
-Each witness pins a 2x2 (or n x n) matrix corner of the algebra; the
-generator pair lifts the classical free matrix pair through that corner,
-with closed-form inverses.  Freeness is certified up to a word-length bound
-in two steps: a corner certificate proves, once per pair, that the corner map
-sends every reduced word of that length to its matrix word, and then the
-reduced words are walked on the matrices alone.  Only a word whose matrix is
-the identity can be trivial, so only such a word is evaluated in the algebra.
+Each witness pins a 2x2 matrix corner of the algebra: its action on two
+basis vectors of a simple module.  The generator pair lifts the classical
+free matrix pair through that corner, with closed-form inverses.  Freeness is
+certified up to a word-length bound in two steps: a corner certificate
+proves, once per pair, that the corner map sends every reduced word of that
+length to its matrix word, and then the reduced words are walked on the
+matrices alone.  Only a word whose matrix is the identity can be trivial, so
+only such a word is evaluated in the algebra.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Callable, Optional
 
 from . import algebra, corpus, fields, graphs, ideals, linalg, reps
@@ -128,19 +129,20 @@ def _dressed(one, a_part, b_part, p_idem, q_idem, alpha, beta):
 
 
 SANOV_UNITS = ((2, 1), (1, 2), (1, 1), (2, 2))
+LINE_UNITS = ((1, 2), (2, 1), (1, 1), (2, 2))
 
 
-def _unit_pair(field, n, units, alpha, beta):
-    """The pair of ``_dressed`` on n x n matrix units: ``units`` holds the
+def _unit_pair(field, units, alpha, beta):
+    """The pair of ``_dressed`` on 2x2 matrix units: ``units`` holds the
     (row, column) positions of a_part, b_part, p and q."""
-    parts = (linalg.matrix_unit(field, n, i, j) for i, j in units)
-    return MatrixPair(*_dressed(linalg.identity_matrix(field, n), *parts, alpha, beta))
+    parts = (linalg.matrix_unit(field, 2, i, j) for i, j in units)
+    return MatrixPair(*_dressed(linalg.identity_matrix(field, 2), *parts, alpha, beta))
 
 
 def sanov_pair(field, alpha, beta=None):
     """I + alpha E21 and I + alpha E12, beta-dressed in characteristic p."""
     case = validate_parameters(field, alpha, beta)
-    return _unit_pair(field, 2, SANOV_UNITS, alpha, beta if case == "prime" else None)
+    return _unit_pair(field, SANOV_UNITS, alpha, beta if case == "prime" else None)
 
 
 # -- generator pairs -----------------------------------------------------------
@@ -170,27 +172,29 @@ class GeneratorPair:
 
 
 def _corner(g, field, witness):
-    """``(parts, n, units, corner)`` of a witness checked against the graph
+    """``(parts, units, corner)`` of a witness checked against the graph
     first: the parts (a_part, b_part, p_idem, q_idem) with a = 1 + alpha a_part
-    etc., their n x n matrix units, and the corner map, built once."""
+    etc., their 2x2 matrix units, and the corner map, built once."""
     if isinstance(witness, LineGraph):
-        iso = LineGraphIso(g, field)
-        if iso._index is None:
+        index = _line_order(g)
+        if index is None:
             raise WitnessError("graph is not an oriented line")
-        chain, i, j = list(iso._index), witness.i, witness.j
+        chain, i, j = list(index), witness.i, witness.j
         if not 1 <= i < j <= len(chain):
             raise WitnessError(f"need 1 <= i < j <= {len(chain)}")
-        path = algebra.path_element(g, field, [g.out_edges[v][0] for v in chain[i - 1:j - 1]])
+        edges = tuple(g.out_edges[v][0] for v in chain[:-1])
+        path = algebra.path_element(g, field, edges[i - 1:j - 1])
         parts = (path, algebra.star(path), algebra.vertex_element(g, field, chain[i - 1]),
                  algebra.vertex_element(g, field, chain[j - 1]))
-        return parts, len(chain), ((i, j), (j, i), (i, i), (j, j)), iso.image
+        # the corner of the sink module at v_n spanned by the paths from v_i and v_j
+        return parts, LINE_UNITS, _sink_corner(g, field, chain[-1], edges[i - 1:], edges[j - 1:])
     if isinstance(witness, SinkEdge):
         f = witness.edge
         if f not in g.edge_map:
             raise WitnessError(f"unknown edge {f!r}")
         if graphs.classify_vertex(g, g.range(f)) != graphs.SINK:
             raise WitnessError(f"range of {f!r} is not a sink")
-        return _edge_parts(g, field, f), 2, SANOV_UNITS, _sink_corner(g, field, f)
+        return _edge_parts(g, field, f), SANOV_UNITS, _sink_corner(g, field, g.range(f), (f,), ())
     if isinstance(witness, RationalPathEdge):
         f, tail = witness.edge, witness.tail
         if f not in g.edge_map:
@@ -203,7 +207,7 @@ def _corner(g, field, witness):
             raise WitnessError("the entering edge must satisfy s(f) != r(f)")
         moved = reps.canonicalize_rational(g, (f,) + tail.prefix, tail.cycle, tail.phase)
         module = reps.chen_module(g, field, tail.cycle)
-        return _edge_parts(g, field, f), 2, SANOV_UNITS, _corner_map(module, moved, tail)
+        return _edge_parts(g, field, f), SANOV_UNITS, _corner_map(module, moved, tail)
     if isinstance(witness, QuotientSink):
         f, w = witness.edge, witness.target
         if f not in g.edge_map or g.range(f) != w:
@@ -228,8 +232,8 @@ def _corner(g, field, witness):
         f = ideals.primed(f)
     else:
         raise WitnessError(f"unknown witness {witness!r}")
-    corner = _sink_corner(qm.target, field, f)
-    return parts, 2, SANOV_UNITS, lambda x: corner(ideals.phi_apply(qm, x))
+    corner = _sink_corner(qm.target, field, qm.target.range(f), (f,), ())
+    return parts, SANOV_UNITS, lambda x: corner(ideals.phi_apply(qm, x))
 
 
 def _edge_parts(g, field, f):
@@ -240,7 +244,7 @@ def _edge_parts(g, field, f):
 
 
 def build_generators(g, field, witness, alpha, beta=None):
-    parts, n, units, corner = _corner(g, field, witness)
+    parts, units, corner = _corner(g, field, witness)
     case = validate_parameters(field, alpha, beta)
     if case == "prime" and isinstance(witness, BreakingVertex) \
             and g.source(witness.edge) == witness.vertex:
@@ -253,7 +257,7 @@ def build_generators(g, field, witness, alpha, beta=None):
     for x, y in ((a, a_inv), (b, b_inv)):
         if not algebra.verify_inverse(x, y):
             raise WitnessError("closed-form inverse failed verification")
-    matrices = _unit_pair(field, n, units, alpha, dress)
+    matrices = _unit_pair(field, units, alpha, dress)
     pair = GeneratorPair(g, field, witness, case, alpha, beta, a, b, a_inv, b_inv,
                          matrices, tuple(zip(parts, units))[:2 if dress is None else 4],
                          corner)
@@ -285,16 +289,10 @@ def _corner_map(module, b1, b2):
     return image
 
 
-def _sink_corner(g, field, f):
-    """The corner map on the sink module at r(f), spanned by f and r(f)."""
-    w = g.range(f)
-    return _corner_map(reps.sink_module(g, field, w), reps.FinitePath((f,), w),
-                       reps.FinitePath((), w))
-
-
-def element_image(pair, x):
-    """The witness's matrix-corner image of an algebra element."""
-    return pair.corner(x)
+def _sink_corner(g, field, w, path1, path2):
+    """The corner map on the sink module at w, spanned by two paths into w."""
+    return _corner_map(reps.sink_module(g, field, w), reps.FinitePath(path1, w),
+                       reps.FinitePath(path2, w))
 
 
 def matrix_images(pair):
@@ -305,6 +303,9 @@ def matrix_images(pair):
 
 @dataclass(frozen=True)
 class FreenessReport:
+    """``matrix_crosscheck`` is true when no walked word has the identity
+    matrix; only such a word is evaluated in the algebra, and it is a
+    failure when its value there is 1."""
     max_length: int
     words_checked: int
     all_nontrivial: bool
@@ -340,9 +341,9 @@ def certify_corner(pair, L):
     built, are the whole claim."""
     if L < 2:
         return 1
-    field, n = pair.field, pair.matrices.a.n
+    field = pair.field
     add, mul, neg, zero = field.ops
-    one, eye = algebra.identity(pair.graph, field), linalg.identity_matrix(field, n)
+    one, eye = algebra.identity(pair.graph, field), linalg.identity_matrix(field, 2)
     if pair.corner(one) != eye:
         raise WitnessError("the corner map does not send 1 to the identity")
     rows = []       # (pivot monomial, row with pivot coefficient 1, its corner)
@@ -357,7 +358,7 @@ def certify_corner(pair, L):
                      corner.scale_payload(inv)))
 
     admit(dict(one.terms), eye)
-    null = linalg.square(field, n, {})
+    null = linalg.square(field, 2, {})
     layer = [(one, eye)]
     for _ in range(L):
         admitted = []
@@ -379,7 +380,7 @@ def certify_corner(pair, L):
                 else:
                     cx = null.add_scaled(combo)
                 # corner(y) E_ij: column i of corner(y) moved to column j
-                if cx != linalg.square(field, n, {(r, j): c for (r, k), c in cy.terms
+                if cx != linalg.square(field, 2, {(r, j): c for (r, k), c in cy.terms
                                                   if k == i}):
                     raise WitnessError(
                         "the corner map is not multiplicative on the span of the parts"
@@ -403,7 +404,7 @@ def verify_free_up_to(pair, L):
     mat = (pm.a, pm.b, pm.a_inv, pm.b_inv)
     inverse_of = (2, 3, 0, 1)
     one_alg = algebra.identity(pair.graph, pair.field)
-    one_mat = linalg.identity_matrix(pair.field, mat[0].n)
+    one_mat = linalg.identity_matrix(pair.field, 2)
     checked = 0
     failures = []
     matrix_ok = True
@@ -475,13 +476,8 @@ class LineGraphIso:
     graph: graphs.Graph
     field: fields.FieldDescriptor
 
-    @cached_property
-    def _index(self):
-        """Vertex -> its position on the line, walked once per isomorphism."""
-        return _line_order(self.graph)
-
     def image(self, x):
-        g, index = self.graph, self._index
+        g, index = self.graph, _line_order(self.graph)
         add, _, _, zero = self.field.ops
         acc = {}
         for m, c in x.terms:

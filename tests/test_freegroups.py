@@ -226,7 +226,7 @@ def test_homomorphism_consistency_per_word(graphs_by_name, Q):
                 if last >= 0 and k == inverse_of[last]:
                     continue
                 nelt, nmat = elt * alg[k], m * mat[k]
-                assert fg.element_image(p, nelt) == nmat
+                assert p.corner(nelt) == nmat
                 stack.append((nelt, nmat, k, depth + 1))
 
 
@@ -245,7 +245,7 @@ def test_quotient_map_built_once_per_pair(graphs_by_name, Q, monkeypatch):
         calls.clear()
         pair = fg.build_generators(g, Q, witness, two(Q))
         fg.matrix_images(pair)
-        fg.element_image(pair, pair.a * pair.b)
+        pair.corner(pair.a * pair.b)
         assert len(calls) == 1, witness
 
 
@@ -296,6 +296,7 @@ def test_certified_walk_matches_two_sided_oracle(graphs_by_name, kind, field_nam
     field = fields.parse_descriptor(field_name)
     g, witness = _witnesses(graphs_by_name, field.char != 0)[kind]
     pair = fg.build_generators(g, field, witness, *_parameters(field_name, field))
+    assert pair.matrices.a.n == 2
     assert fg.certify_corner(pair, 6) <= 6 < fg.MAX_CORNER_DIM
     for L in range(1, 7):
         assert fg.verify_free_up_to(pair, L) == oracles.two_sided_free_report(pair, L)
@@ -320,7 +321,7 @@ def test_identity_matrix_alone_is_not_a_failure(graphs_by_name, F5, monkeypatch)
     pair = _forced_pair(monkeypatch, graphs_by_name["toeplitz"], F5, fg.SinkEdge("f"),
                         "prime", fields.from_int(F5, 1), fields.from_int(F5, 2))
     cd = pair.a * pair.b
-    assert fg.element_image(pair, cd * cd * cd) == linalg.identity_matrix(F5, 2)
+    assert pair.corner(cd * cd * cd) == linalg.identity_matrix(F5, 2)
     assert algebra.render(cd * cd * cd) == "u + v + 3 e e*"
     report = fg.verify_free_up_to(pair, 6)
     assert report == oracles.two_sided_free_report(pair, 6)
@@ -339,8 +340,8 @@ def test_certificate_refuses_an_anti_homomorphism(graphs_by_name, Q, monkeypatch
     corner = fg._corner
 
     def transposed(*args):
-        parts, n, units, image = corner(*args)
-        return parts, n, tuple((j, i) for i, j in units), lambda x: _transpose(image(x))
+        parts, units, image = corner(*args)
+        return parts, tuple((j, i) for i, j in units), lambda x: _transpose(image(x))
 
     monkeypatch.setattr(fg, "_corner", transposed)
     g, witness = _witnesses(graphs_by_name, False)[kind]
@@ -524,6 +525,32 @@ def test_line_graph_iso(Q):
     assert iso2.image(e1 * algebra.star(e1)) == iso2.image(
         algebra.vertex_element(g2, Q, "v1")
     )
+
+
+def test_line_corner_is_the_iso_block(graphs_by_name, Q):
+    """On A_5 every line witness's corner is the (i, j) block of the matrix
+    isomorphism: on each reduced word of length <= 3 the isomorphism's image
+    is the identity outside rows and columns i, j and the corner within."""
+    g = graphs_by_name["a5"]
+    iso = fg.LineGraphIso(g, Q)
+    n, one = len(g.vertices), fields.int_payload(Q, 1)
+    for block in ((i, j) for j in range(2, n + 1) for i in range(1, j)):
+        pair = fg.build_generators(g, Q, fg.LineGraph(*block), two(Q))
+        off = {(k, k): one for k in range(1, n + 1) if k not in block}
+        gens = (pair.a, pair.b, pair.a_inv, pair.b_inv)
+        inverse_of = (2, 3, 0, 1)
+        stack = [(algebra.identity(g, Q), -1, 0)]
+        while stack:
+            word, last, depth = stack.pop()
+            for k in range(4):
+                if last >= 0 and k == inverse_of[last]:
+                    continue
+                nword = word * gens[k]
+                within = {(block[r - 1], block[c - 1]): x
+                          for (r, c), x in pair.corner(nword).terms}
+                assert iso.image(nword) == linalg.square(Q, n, {**off, **within})
+                if depth + 1 < 3:
+                    stack.append((nword, k, depth + 1))
 
 
 def test_iso_is_multiplicative(Q, rng):
