@@ -88,14 +88,6 @@ def _reduce_leavitt(g, m):
     return tuple(out)
 
 
-def _add_reduced(acc, g, field, m, c):
-    """Accumulate the payload ``c * m`` into ``acc`` through the Leavitt
-    rewrite of m."""
-    add, _, neg, zero = field.ops
-    for m2, k in _reduce_leavitt(g, m):
-        fields.add_term(acc, m2, c if k == 1 else neg(c), add, zero)
-
-
 def mono_mul(g, m1, m2):
     """Raw product of two monomials: one monomial or None (= 0)."""
     nu1, lam2 = m1.nu, m2.lam
@@ -142,41 +134,17 @@ class AlgebraElement(fields.Combination):
             out.setdefault(mono_source(g, m), []).append((m, c))
         return out
 
-    @cached_property
-    def _rows(self):
-        """Memo of ``_row``, kept on the right operand of products."""
-        return {}
-
-    def _row(self, m1):
-        """``m1 * self`` as reduced ``(monomial, nonzero payload)`` pairs,
-        computed once per left monomial m1."""
-        row = self._rows.get(m1)
-        if row is None:
-            g, field = self.graph, self.field
-            add, _, _, zero = field.ops
-            leavitt = self.mode == LEAVITT
-            acc = {}
-            for m2, c2 in self._by_source.get(mono_range(g, m1), ()):
-                raw = mono_mul(g, m1, m2)
-                if raw is None:
-                    continue
-                if leavitt:
-                    _add_reduced(acc, g, field, raw, c2)
-                else:
-                    fields.add_term(acc, raw, c2, add, zero)
-            row = self._rows[m1] = tuple(acc.items())
-        return row
-
     def __mul__(self, other):
-        """Sum of ``c1 * (m1 * other)`` over the terms of self, each row
-        ``m1 * other`` memoized on other."""
+        """The reduction of the raw products ``m1 * m2`` over the term pairs
+        that meet: m2 starts where m1 ends."""
         self._check(other)
-        add, mul, _, zero = self.field.ops
-        acc = {}
-        for m1, c1 in self.terms:
-            for m3, c in other._row(m1):
-                fields.add_term(acc, m3, mul(c1, c), add, zero)
-        return _assemble(self.graph, self.field, self.mode, acc)
+        g, mul = self.graph, self.field.ops[1]
+        by_source = other._by_source
+        raw = ((m, mul(c1, c2))
+               for m1, c1 in self.terms
+               for m2, c2 in by_source.get(mono_range(g, m1), ())
+               if (m := mono_mul(g, m1, m2)) is not None)
+        return _reduce(g, self.field, self.mode, raw)
 
     def __str__(self):
         return render(self)
@@ -198,13 +166,12 @@ def _assemble(g, field, mode, acc):
 def _reduce(g, field, mode, payloads):
     """The element of the ``(Monomial, nonzero payload)`` pairs, summed
     through the Leavitt rewrite in Leavitt mode."""
-    add, _, _, zero = field.ops
+    add, _, neg, zero = field.ops
+    leavitt = mode == LEAVITT
     acc = {}
     for m, c in payloads:
-        if mode == LEAVITT:
-            _add_reduced(acc, g, field, m, c)
-        else:
-            fields.add_term(acc, m, c, add, zero)
+        for m2, k in _reduce_leavitt(g, m) if leavitt else ((m, 1),):
+            fields.add_term(acc, m2, c if k == 1 else neg(c), add, zero)
     return _assemble(g, field, mode, acc)
 
 

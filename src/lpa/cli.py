@@ -225,6 +225,8 @@ def parse_witness(g, text):
 
 
 def _run_free_gens(args, ctx):
+    if args.mode == algebra.COHN:
+        raise CliInputError("free-gens computes in L_K(E) only; --mode cohn is not supported yet")
     g, field = ctx["graph"], ctx["field"]
     witness = parse_witness(g, args.witness)
     alpha = fields.parse_element(field, args.alpha)
@@ -450,6 +452,17 @@ def _report(args, ctx, result, diagnostics, error=None):
 
 
 def main(argv=None):
+    try:
+        code = _main(argv)
+        sys.stdout.flush()    # a buffered report meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: keep the interpreter's final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv):
     args = build_parser().parse_args(argv)
     ctx = {}
     started = time.monotonic()

@@ -94,10 +94,6 @@ class DenseMatrix(FinitaryMatrix):
             rows[i - 1][j - 1] = fields.FieldElement(self.field, c)
         return tuple(map(tuple, rows))
 
-    def block(self, k):
-        """Leading k x k corner."""
-        return self.dense(k)
-
     def __str__(self):
         return "\n".join(
             "[" + ", ".join(fields.element_str(a) for a in row) + "]"

@@ -191,7 +191,7 @@ def test_criterion_5_toeplitz_realization(Q, rng):
             y = sampling.random_element(rng, g, Q, max_terms=2, max_len=2)
             lhs = tp.toeplitz_embed(x * y, N).dense(N)
             rhs = (tp.toeplitz_embed(x, N) * tp.toeplitz_embed(y, N)).dense(N)
-            assert lhs.block(N - 4) == rhs.block(N - 4)
+            assert lhs.dense(N - 4) == rhs.dense(N - 4)
 
 
 def test_criterion_6_free_subgroup_desk_verification(graphs_by_name, Q, F5st):

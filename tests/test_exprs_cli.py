@@ -217,12 +217,33 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
       for v in ("e..@e", ".e.@e")],
     *[("act", "--graph", "toeplitz", "--module", "sink:v", "--expr", "u", "--vector", v)
       for v in ("e..f", "f.", ".f")],
+    # free-gens builds its pair in L_K(E) only
+    ("free-gens", "--graph", "toeplitz", "--witness", "sink:f", "--alpha", "2",
+     "--verify-len", "2", "--mode", "cohn"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(argv):
     out = run_cli(*argv)
     assert out.returncode == 2, out.stderr
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error (")
+
+
+@pytest.mark.parametrize("argv", [
+    ("toeplitz", "--expr", "u + e + e*", "--size", "500", "--json"),
+    ("nf", "--graph", "toeplitz", "--expr", "u"),
+])
+def test_cli_closed_stdout_exit_1_without_traceback(argv):
+    """A reader that closes the pipe before reading ends the run with exit 1
+    and a quiet stderr, for a report past the pipe buffer and a short one
+    that stays in the block-buffered stdout until the final flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "lpa.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr, stderr[-500:]
 
 
 @pytest.mark.parametrize("argv", [

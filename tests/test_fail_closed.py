@@ -1,7 +1,8 @@
 """Library checks must survive ``python -O``: no ``assert`` in ``src/lpa``.
 Linear combinations are summed by one ``add_scaled`` call, never by a loop
 of repeated ``+`` or ``-`` or by ``sum`` with a start value, each of which
-re-assembles the running sum once per term."""
+re-assembles the running sum once per term.  No frozen object grows a memo
+after it is built."""
 
 import ast
 import pathlib
@@ -53,3 +54,25 @@ def test_library_has_no_repeated_sum_loops():
         found.update(f"{name}:{node.lineno}" for node in ast.walk(tree)
                      if _sum_with_start(node))
     assert not found, sorted(found)
+
+
+def _returns_empty_container(fn):
+    """The body, past a docstring, only returns ``{}``, ``[]``, ``dict()``,
+    ``list()`` or ``set()``."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return (len(body) == 1 and isinstance(body[0], ast.Return) and body[0].value is not None
+            and ast.unparse(body[0].value) in ("{}", "[]", "dict()", "list()", "set()"))
+
+
+def test_library_has_no_growing_memo_properties():
+    """A cached property that starts empty is a memo that keeps growing on
+    an object after it is built."""
+    found = [f"{name}:{node.lineno}" for name, tree in _library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and any(ast.unparse(d) in ("cached_property", "functools.cached_property")
+                     for d in node.decorator_list)
+             and _returns_empty_container(node)]
+    assert not found, found

@@ -43,23 +43,23 @@ def test_matrix_product_matches_row_by_column_oracle(desc):
             assert (a * b).rows == oracles.matrix_product(a, b)
 
 
-# -- products memoize their right operand ----------------------------------------
+# -- a reused right operand ------------------------------------------------------
 
 
 @pytest.mark.parametrize("mode", [algebra.LEAVITT, algebra.COHN])
 @pytest.mark.parametrize("desc", KERNEL_FIELDS)
 def test_reused_right_operand_matches_term_by_term_oracle(desc, mode):
-    """A right operand keeps one reduced row per left monomial.  Each right
+    """A product reduces the raw products of its term pairs.  Each right
     operand here meets itself, the identity and eight more left operands,
     some twice, and every product agrees with the oracle; the identity's
-    vertex rows differ from one right operand to the next."""
+    vertices meet different terms of each right operand."""
     K = fields.parse_descriptor(desc)
     rng = random.Random("reuse" + desc + mode)
     corpus_graphs = [corpus.load(name) for name in ("toeplitz", "r2", "r3", "ex35", "ex62")]
     for g in corpus_graphs + [graphs.parse_graph(line_text(30))]:
         one = algebra.identity(g, K, mode)
         for _ in range(2):
-            # plus a scalar: on the line every row is nonempty
+            # plus a scalar: on the line every vertex meets a term of y
             y = (sampling.random_element(rng, g, K, mode, max_terms=6)
                  + one.scale(sampling.random_scalar(rng, K, nonzero=True)))
             lefts = [sampling.random_element(rng, g, K, mode, max_terms=4) for _ in range(8)]
