@@ -401,7 +401,7 @@ def build_parser():
     p.add_argument(
         "--witness",
         required=True,
-        help="sink:<f> | qsink:<H>;<S>:<f> | breaking:<H>:<w>:<f> | "
+        help="sink:<f> | qsink:<H>[;<S>]:<f> | breaking:<H>:<w>:<f> | "
         "tail:<cycle>:<f> | line:<i>:<j>",
     )
     p.add_argument("--alpha", required=True, help="field literal")

@@ -1,14 +1,14 @@
 """Free-subgroup generators inside unit groups of path algebras.
 
 Each witness pins a 2x2 matrix corner of the algebra: its action on two
-basis vectors of a simple module.  The generator pair lifts the classical
-free matrix pair through that corner, with closed-form inverses.  Freeness is
-certified up to a word-length bound in two steps: a corner certificate
-proves, once per pair, that the corner map sends every reduced word of that
-length to its matrix word, and then the reduced words are walked on the
-matrices alone.  Only a word whose matrix is the identity can be trivial, so
-only such a word is evaluated in the algebra.
-"""
+basis vectors of a simple module of L_K(E) itself.  The generator pair lifts
+the classical free matrix pair through that corner, with closed-form
+inverses.  Freeness is certified up to a word-length bound in two steps: a
+corner certificate, the one check of the corner against the matrices, proves
+once per pair that the corner map sends every reduced word of that length to
+its matrix word, and then the reduced words are walked on the matrices
+alone.  Only a word whose matrix is the identity can be trivial, so only such
+a word is evaluated in the algebra."""
 
 from __future__ import annotations
 
@@ -174,7 +174,7 @@ class GeneratorPair:
 def _corner(g, field, witness):
     """``(parts, units, corner)`` of a witness checked against the graph
     first: the parts (a_part, b_part, p_idem, q_idem) with a = 1 + alpha a_part
-    etc., their 2x2 matrix units, and the corner map, built once."""
+    etc., their 2x2 matrix units, and the corner map, built once on a module of E."""
     if isinstance(witness, LineGraph):
         index = _line_order(g)
         if index is None:
@@ -188,13 +188,6 @@ def _corner(g, field, witness):
                  algebra.vertex_element(g, field, chain[j - 1]))
         # the corner of the sink module at v_n spanned by the paths from v_i and v_j
         return parts, LINE_UNITS, _sink_corner(g, field, chain[-1], edges[i - 1:], edges[j - 1:])
-    if isinstance(witness, SinkEdge):
-        f = witness.edge
-        if f not in g.edge_map:
-            raise WitnessError(f"unknown edge {f!r}")
-        if graphs.classify_vertex(g, g.range(f)) != graphs.SINK:
-            raise WitnessError(f"range of {f!r} is not a sink")
-        return _edge_parts(g, field, f), SANOV_UNITS, _sink_corner(g, field, g.range(f), (f,), ())
     if isinstance(witness, RationalPathEdge):
         f, tail = witness.edge, witness.tail
         if f not in g.edge_map:
@@ -208,14 +201,21 @@ def _corner(g, field, witness):
         moved = reps.canonicalize_rational(g, (f,) + tail.prefix, tail.cycle, tail.phase)
         module = reps.chen_module(g, field, tail.cycle)
         return _edge_parts(g, field, f), SANOV_UNITS, _corner_map(module, moved, tail)
-    if isinstance(witness, QuotientSink):
+    if isinstance(witness, SinkEdge):
+        f = witness.edge
+        if f not in g.edge_map:
+            raise WitnessError(f"unknown edge {f!r}")
+        w = g.range(f)
+        if graphs.classify_vertex(g, w) != graphs.SINK:
+            raise WitnessError(f"range of {f!r} is not a sink")
+        parts = _edge_parts(g, field, f)
+    elif isinstance(witness, QuotientSink):
         f, w = witness.edge, witness.target
         if f not in g.edge_map or g.range(f) != w:
             raise WitnessError(f"edge {f!r} must end at the quotient sink {w!r}")
         if w in witness.spec.H:
             raise WitnessError(f"{w!r} lies in H")
-        qm = ideals.make_quotient_map(g, witness.spec, field)
-        if graphs.classify_vertex(qm.target, w) != graphs.SINK:
+        if graphs.classify_vertex(ideals.quotient_graph(g, witness.spec), w) != graphs.SINK:
             raise WitnessError(f"{w!r} is not a sink in the quotient graph")
         parts = _edge_parts(g, field, f)
     elif isinstance(witness, BreakingVertex):
@@ -224,16 +224,15 @@ def _corner(g, field, witness):
             raise WitnessError(f"{w!r} is not in B_H \\ S")
         if f not in g.edge_map or g.range(f) != w:
             raise WitnessError(f"edge {f!r} must end at the breaking vertex {w!r}")
-        qm = ideals.make_quotient_map(g, witness.spec, field)
-        # in the quotient, w^H becomes the primed sink
+        ideals.quotient_graph(g, witness.spec)     # refuses a quotient it cannot build
         fstar, fe, p_idem, _ = _edge_parts(g, field, f)
         wh = ideals.wh_element(g, w, witness.spec.H, field)
         parts = (wh * fstar, fe * wh, p_idem, wh)
-        f = ideals.primed(f)
     else:
         raise WitnessError(f"unknown witness {witness!r}")
-    corner = _sink_corner(qm.target, field, qm.target.range(f), (f,), ())
-    return parts, SANOV_UNITS, lambda x: corner(ideals.phi_apply(qm, x))
+    # E's module at w is the pullback along phi: E -> E/(H, S) of the quotient's
+    # sink module at w, or at w_q for a breaking vertex: w^H acts as w_q does
+    return parts, SANOV_UNITS, _sink_corner(g, field, w, (f,), ())
 
 
 def _edge_parts(g, field, f):
@@ -258,12 +257,9 @@ def build_generators(g, field, witness, alpha, beta=None):
         if not algebra.verify_inverse(x, y):
             raise WitnessError("closed-form inverse failed verification")
     matrices = _unit_pair(field, units, alpha, dress)
-    pair = GeneratorPair(g, field, witness, case, alpha, beta, a, b, a_inv, b_inv,
+    return GeneratorPair(g, field, witness, case, alpha, beta, a, b, a_inv, b_inv,
                          matrices, tuple(zip(parts, units))[:2 if dress is None else 4],
                          corner)
-    if matrix_images(pair) != (matrices.a, matrices.b, matrices.a_inv, matrices.b_inv):
-        raise WitnessError("matrix image of a generator disagrees with the formula")
-    return pair
 
 
 # -- images in the matrix corner -----------------------------------------------
@@ -272,27 +268,30 @@ def _corner_map(module, b1, b2):
     """The map sending x to its matrix acting on the two-dimensional space
     spanned by the module basis elements b1, b2 (the paper's corner map:
     s(f) -> E11, f -> E12); it raises when x does not stabilize the span."""
-    vectors = tuple(reps.basis_vector(module, b) for b in (b1, b2))
+    index = {b1: 1, b2: 2}
+    vectors = tuple((b, reps.basis_vector(module, b)) for b in index)
 
     def image(x):
-        cols = []
-        for b, vec in zip((b1, b2), vectors):
-            out = reps.act(x, vec)
-            if any(k not in (b1, b2) for k, _ in out.terms):
-                raise WitnessError(
-                    "element does not stabilize the corner: it moves "
-                    f"{reps.render_basis(b)} outside the span"
-                )
-            cols.append((out.coeff(b1), out.coeff(b2)))
-        return linalg.from_rows(module.field, zip(*cols))
+        acc = {}
+        for b, vec in vectors:
+            for k, c in reps.act(x, vec).terms:
+                if k not in index:
+                    raise WitnessError(
+                        "element does not stabilize the corner: it moves "
+                        f"{reps.render_basis(b)} outside the span"
+                    )
+                acc[index[k], index[b]] = c
+        return linalg.square(module.field, 2, acc)
 
     return image
 
 
 def _sink_corner(g, field, w, path1, path2):
-    """The corner map on the sink module at w, spanned by two paths into w."""
-    return _corner_map(reps.sink_module(g, field, w), reps.FinitePath(path1, w),
-                       reps.FinitePath(path2, w))
+    """The corner map on the module at w, a sink or an infinite emitter,
+    spanned by two paths into w."""
+    sink = graphs.classify_vertex(g, w) == graphs.SINK
+    module = (reps.sink_module if sink else reps.emitter_module)(g, field, w)
+    return _corner_map(module, reps.FinitePath(path1, w), reps.FinitePath(path2, w))
 
 
 def matrix_images(pair):
@@ -337,10 +336,8 @@ def certify_corner(pair, L):
     S_(L-1).  The basis is built depth by depth by exact elimination, and
     each pivot row carries its corner: a product in the span gets its corner
     by linearity, and the corner map runs only on the products admitted to
-    the basis.  At L = 1 the generators' images, checked when the pair was
-    built, are the whole claim."""
-    if L < 2:
-        return 1
+    the basis.  At L = 1 this is corner(1) = I and corner(s) = E_s for each
+    part, which by linearity is the claim on the generators' images."""
     field = pair.field
     add, mul, neg, zero = field.ops
     one, eye = algebra.identity(pair.graph, field), linalg.identity_matrix(field, 2)

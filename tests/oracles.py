@@ -11,14 +11,15 @@ function-field fractions reduced by the general gcd for every denominator,
 the recursive and pairwise graph walks that the iterative ones replaced,
 the two-branch module basis sampler that scans every edge of the graph, and
 the two-sided word walk that evaluates every reduced word both in the
-algebra and in the matrix corner, with no corner certificate.
+algebra and in the matrix corner, with no corner certificate, and the
+corner of a quotient or breaking witness read through the quotient map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from lpa import algebra, fields, freegroups, graphs, linalg, polys, reps
+from lpa import algebra, fields, freegroups, graphs, ideals, linalg, polys, reps
 
 # symbols: ("v", name) | ("e", name) | ("g", name)  (g = ghost edge)
 
@@ -553,3 +554,29 @@ def two_sided_free_report(pair, L):
         raise freegroups.WitnessError(
             f"checked {checked} words, expected {freegroups.expected_word_count(L)}")
     return freegroups.FreenessReport(L, checked, not failures, matrix_ok, tuple(failures[:32]))
+
+
+def quotient_corner(g, field, witness):
+    """The corner map of a quotient or breaking witness through the
+    quotient: x goes through phi to L_K(E/(H, S)) and acts there on the sink
+    module at r(f), or at r(f_q) for a breaking vertex, spanned by the edge
+    path and the trivial path; coefficients are read as field elements."""
+    qm = ideals.make_quotient_map(g, witness.spec, field)
+    f = witness.edge
+    if isinstance(witness, freegroups.BreakingVertex):
+        f = ideals.primed(f)
+    w = qm.target.range(f)
+    module = reps.sink_module(qm.target, field, w)
+    basis = (reps.FinitePath((f,), w), reps.FinitePath((), w))
+
+    def image(x):
+        y = ideals.phi_apply(qm, x)
+        cols = []
+        for b in basis:
+            out = reps.act(y, reps.basis_vector(module, b))
+            if any(k not in basis for k, _ in out.terms):
+                raise freegroups.WitnessError("element does not stabilize the corner")
+            cols.append([out.coeff(k) for k in basis])
+        return linalg.from_rows(field, zip(*cols))
+
+    return image

@@ -230,23 +230,27 @@ def test_homomorphism_consistency_per_word(graphs_by_name, Q):
                 stack.append((nelt, nmat, k, depth + 1))
 
 
-def test_quotient_map_built_once_per_pair(graphs_by_name, Q, monkeypatch):
-    """A quotient witness builds its quotient map once, and its matrix
-    images reuse it."""
+def test_quotient_witnesses_build_no_quotient_map(graphs_by_name, Q, monkeypatch,
+                                                  tmp_path, capsys):
+    """A quotient or breaking witness reads its corner in E's own module at
+    w: building and verifying the pair neither builds the quotient map nor
+    applies it, also when w is an infinite emitter of E."""
     calls = []
-    make = ideals.make_quotient_map
-    monkeypatch.setattr(ideals, "make_quotient_map",
-                        lambda *args, **kw: calls.append(args) or make(*args, **kw))
+    for name in ("make_quotient_map", "phi_apply"):
+        monkeypatch.setattr(ideals, name, lambda *args, name=name: calls.append(name))
     e35 = graphs_by_name["ex35"]
     qsink = fg.QuotientSink(ideals.admissible_pair(e35, ("w",), ()), "f", "v")
     e11 = graphs_by_name["ex11"]
     breaking = fg.BreakingVertex(ideals.admissible_pair(e11, ("v1", "v2"), ("v",)), "w", "f")
     for g, witness in ((e35, qsink), (e11, breaking)):
-        calls.clear()
-        pair = fg.build_generators(g, Q, witness, two(Q))
-        fg.matrix_images(pair)
-        pair.corner(pair.a * pair.b)
-        assert len(calls) == 1, witness
+        report = fg.verify_free_up_to(fg.build_generators(g, Q, witness, two(Q)), 4)
+        assert report.all_nontrivial and report.matrix_crosscheck, witness
+    path = tmp_path / "emitter.graph"
+    path.write_text("graph g\nvertex x\nvertex w\nvertex h1\nedge f x w\nbundle w h1\n")
+    assert cli.main(["free-gens", "--graph", str(path), "--witness", "qsink:h1:f",
+                     "--alpha", "2", "--verify-len", "4"]) == 0
+    assert "all nontrivial: True" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_verify_free_counts(graphs_by_name, Q):
@@ -334,9 +338,9 @@ def _transpose(m):
 
 @pytest.mark.parametrize("kind", ["sink", "qsink", "breaking", "tail", "line"])
 def test_certificate_refuses_an_anti_homomorphism(graphs_by_name, Q, monkeypatch, kind):
-    """A transposed corner with transposed matrix units passes the check of
-    the generators' images, but it reverses products, and the certificate
-    refuses it from length 2 on."""
+    """A transposed corner with transposed matrix units passes the
+    certificate at length 1, which checks the parts alone, but it reverses
+    products, and the certificate refuses it from length 2 on."""
     corner = fg._corner
 
     def transposed(*args):
@@ -349,6 +353,23 @@ def test_certificate_refuses_an_anti_homomorphism(graphs_by_name, Q, monkeypatch
     assert fg.verify_free_up_to(pair, 1).all_nontrivial
     with pytest.raises(fg.WitnessError, match="not multiplicative"):
         fg.verify_free_up_to(pair, 2)
+
+
+@pytest.mark.parametrize("kind", ["sink", "qsink", "breaking", "tail", "line"])
+def test_certificate_alone_refuses_swapped_units_at_length_one(graphs_by_name, Q,
+                                                               monkeypatch, kind):
+    """With the units of a_part and b_part swapped, the matrix pair no longer
+    matches the corner; the certificate refuses it already at length 1."""
+    corner = fg._corner
+
+    def swapped(*args):
+        parts, (ua, ub, *rest), image = corner(*args)
+        return parts, (ub, ua, *rest), image
+
+    monkeypatch.setattr(fg, "_corner", swapped)
+    g, witness = _witnesses(graphs_by_name, False)[kind]
+    with pytest.raises(fg.WitnessError):
+        fg.verify_free_up_to(fg.build_generators(g, Q, witness, two(Q)), 1)
 
 
 def test_walk_multiplies_in_the_algebra_only_on_identity_matrices(graphs_by_name, Q,
@@ -373,7 +394,7 @@ def test_corner_budget_overflow_exits_1(monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert "MAX_CORNER_DIM = 3" in capsys.readouterr().err
-    assert cli.main(argv[:-1] + ["1"]) == 0         # no certificate at length 1
+    assert cli.main(argv[:-1] + ["1"]) == 0         # 1, a_part, b_part: 3 basis elements
 
 
 def test_word_length_one_nontrivial(graphs_by_name, Q):

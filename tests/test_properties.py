@@ -1,13 +1,16 @@
 """Hypothesis property tests over randomly generated graphs and elements."""
 
+import itertools
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 import sampling
-from lpa import algebra, fields, freegroups, graphs
+from lpa import algebra, fields, freegroups, graphs, ideals
 
 VERTEX_POOL = ("a", "b", "c", "d")
 EDGE_POOL = ("p", "q", "r", "s", "t2")
@@ -32,13 +35,13 @@ def small_graphs(draw):
 
 
 @st.composite
-def graphs_up_to_six(draw):
-    """Up to six vertices and nine edges, with loops, parallel edges, up to
-    two bundles and a drawn edge order at every vertex."""
+def graphs_up_to_six(draw, min_bundles=0):
+    """Up to six vertices and nine edges, with loops, parallel edges,
+    ``min_bundles`` to two bundles and a drawn edge order at every vertex."""
     vertices = tuple(f"v{i}" for i in range(draw(st.integers(1, 6))))
     vertex = st.sampled_from(vertices)
     edges = [(f"e{i}", draw(vertex), draw(vertex)) for i in range(draw(st.integers(0, 9)))]
-    bundles = draw(st.lists(st.tuples(vertex, vertex), max_size=2))
+    bundles = draw(st.lists(st.tuples(vertex, vertex), min_size=min_bundles, max_size=2))
     order = {}
     for v in vertices:
         out = [name for name, src, _ in edges if src == v]
@@ -168,3 +171,68 @@ def test_function_field_payload_canonical(seed):
     assert (a * b).payload == (b * a).payload
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+# -- quotient corners against the quotient map ---------------------------------
+
+def _admissible_pairs(g):
+    """Every admissible pair (H, S): each hereditary saturated closure of a
+    vertex set, with each subset of its breaking vertices."""
+    seen = set()
+    for k in range(len(g.vertices) + 1):
+        for X in itertools.combinations(g.vertices, k):
+            H = graphs.hs_closure(g, X)
+            if H in seen:
+                continue
+            seen.add(H)
+            B = ideals.breaking_vertices(g, H)
+            for j in range(len(B) + 1):
+                for S in itertools.combinations(B, j):
+                    yield ideals.admissible_pair(g, H, S)
+
+
+def _corner_or_refusal(corner, x):
+    try:
+        return corner(x)
+    except freegroups.WitnessError:
+        return "refused"
+
+
+def _assert_quotient_corners_match_oracle(g, rng, samples=8):
+    """For every qsink and breaking witness that ``find_witness`` lists under
+    an admissible pair whose quotient graph exists, the witness's corner
+    (``GeneratorPair.corner``) agrees with the quotient-map oracle on each part, each product of up to three
+    parts and sampled elements; both refusing counts as agreement.  Returns
+    the number of witnesses compared."""
+    Q = fields.rationals()
+    count = 0
+    for spec in _admissible_pairs(g):
+        try:
+            ideals.quotient_graph(g, spec)
+        except (ideals.IdealError, graphs.GraphError):
+            continue
+        for witness in freegroups.find_witness(g, spec):
+            if not isinstance(witness, (freegroups.QuotientSink, freegroups.BreakingVertex)):
+                continue
+            parts, _, corner = freegroups._corner(g, Q, witness)
+            oracle = oracles.quotient_corner(g, Q, witness)
+            elements = [reduce(operator.mul, word) for k in (1, 2, 3)
+                        for word in itertools.product(parts, repeat=k)]
+            elements += [sampling.random_element(rng, g, Q) for _ in range(samples)]
+            for x in elements:
+                assert _corner_or_refusal(corner, x) == _corner_or_refusal(oracle, x), \
+                    (witness, algebra.render(x))
+            count += 1
+    return count
+
+
+def test_quotient_corners_match_the_quotient_map_on_the_corpus(graphs_by_name, rng):
+    counts = {name: _assert_quotient_corners_match_oracle(g, rng)
+              for name, g in graphs_by_name.items()}
+    assert {name: n for name, n in counts.items() if n} == {"ex11": 6}
+
+
+@given(graphs_up_to_six(min_bundles=1), st.integers(0, 10 ** 6))
+@settings(max_examples=400, deadline=None)
+def test_quotient_corners_match_the_quotient_map(g, seed):
+    _assert_quotient_corners_match_oracle(g, random.Random(seed))
